@@ -232,6 +232,11 @@ AbraResult RunAbra(const Graph& g, const AbraOptions& options) {
   ProgressiveOptions schedule =
       MakeVcCappedSchedule(eps, options.delta, vc, options.vc_constant,
                            options.max_wave, options.num_threads);
+  if (schedule.max_samples == kSaturatedSampleCount) {
+    result.budget_saturated = true;
+    result.seconds = timer.ElapsedSeconds();
+    return result;
+  }
   schedule.cancel = options.cancel;
   if (options.wave_executor) schedule.executor = options.wave_executor(0);
   if (options.cancel != nullptr && options.cancel->CanExpire() &&

@@ -52,6 +52,9 @@ struct AbraResult {
   /// separation gap (top-k mode; ≥ 0 iff separation was reached).
   double final_bound = 0.0;
   double seconds = 0.0;
+  /// The ε budget saturated past 2^64 − 1 samples (stats/vc.h): nothing
+  /// was sampled and the estimates carry no guarantee.
+  bool budget_saturated = false;
   /// Deadline/cancel truncation: estimates cover completed waves only and
   /// the (ε, δ) guarantee does NOT hold.
   bool degraded = false;

@@ -19,8 +19,8 @@ namespace {
 /// draws a uniform ordered node pair, samples *one* uniform shortest path
 /// between them with the configured strategy, and reports the path's inner
 /// nodes (0/1 losses over all n node-hypotheses). Clones share the graph
-/// and own their BFS scratch, so the progressive scheduler can stripe the
-/// draw over its logical workers.
+/// and own their BFS scratch, so the progressive scheduler can run one per
+/// sampling thread.
 class KadabraProblem : public HypothesisRankingProblem {
  public:
   KadabraProblem(const Graph& g, SamplingStrategy strategy,
@@ -88,6 +88,11 @@ KadabraResult RunKadabra(const Graph& g, const KadabraOptions& options) {
   ProgressiveOptions schedule =
       MakeVcCappedSchedule(eps, options.delta, vc, options.vc_constant,
                            options.max_wave, options.num_threads);
+  if (schedule.max_samples == kSaturatedSampleCount) {
+    result.budget_saturated = true;
+    result.seconds = timer.ElapsedSeconds();
+    return result;
+  }
   schedule.cancel = options.cancel;
   if (options.wave_executor) schedule.executor = options.wave_executor(0);
   if (options.cancel != nullptr && options.cancel->CanExpire() &&

@@ -57,6 +57,9 @@ struct KadabraResult {
   uint32_t epochs = 0;
   double seconds = 0.0;
   bool stopped_early = false;
+  /// The ε budget saturated past 2^64 − 1 samples (stats/vc.h): nothing
+  /// was sampled and the estimates carry no guarantee.
+  bool budget_saturated = false;
   /// Deadline/cancel truncation: estimates cover completed waves only and
   /// the (ε, δ) guarantee does NOT hold.
   bool degraded = false;

@@ -159,6 +159,7 @@ SaphyraBcResult RunSaphyraBc(const IspIndex& isp,
   result.samples_used = inner.samples_used;
   result.max_samples = inner.max_samples;
   result.stopped_early = inner.stopped_early;
+  result.budget_saturated = inner.budget_saturated;
   result.degraded = inner.degraded;
   result.degrade_reason = inner.degrade_reason;
   // b̃c = bc_a + γη·ℓ, so a deviation bound on ℓ scales by γη in bc units.

@@ -71,6 +71,9 @@ struct SaphyraBcResult {
   uint64_t max_samples = 0;
   uint64_t rejected_samples = 0;  ///< Gen_bc rejections (Alg. 2 line 6)
   bool stopped_early = false;     ///< Bernstein stop before the VC cap
+  /// The ε budget saturated past 2^64 − 1 samples (stats/vc.h): nothing
+  /// was sampled and the estimates carry no guarantee.
+  bool budget_saturated = false;
   /// Deadline/cancel truncation: estimates cover completed waves only and
   /// Theorem 24's guarantee does NOT hold (but the bits are deterministic
   /// for a fixed seed and samples_used).

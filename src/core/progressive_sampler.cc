@@ -52,8 +52,8 @@ ProgressiveOptions MakeVcCappedSchedule(double epsilon, double delta,
                                         uint32_t num_threads) {
   ProgressiveOptions schedule;
   schedule.initial_samples = std::max<uint64_t>(
-      32, static_cast<uint64_t>(std::ceil(
-              vc_constant / (epsilon * epsilon) * std::log(2.0 / delta))));
+      32, SaturatingSampleCount(vc_constant / (epsilon * epsilon) *
+                                std::log(2.0 / delta)));
   schedule.max_samples =
       std::max(schedule.initial_samples,
                VcSampleBound(epsilon, delta, vc_dimension, vc_constant));
@@ -221,7 +221,8 @@ ProgressiveSampler::ProgressiveSampler(HypothesisRankingProblem* problem,
       engine_(problem,
               options.stripes == 0 ? kDefaultSampleStripes : options.stripes,
               base_rng,
-              options.num_threads > 1 ? &SharedThreadPool() : nullptr) {
+              options.num_threads > 1 ? &SharedThreadPool() : nullptr,
+              /*max_parallel=*/options.num_threads) {
   SAPHYRA_CHECK(options_.max_samples >= 2);
   SAPHYRA_CHECK(options_.growth > 1.0);
   engine_.set_wave_executor(options_.executor);

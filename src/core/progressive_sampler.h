@@ -58,8 +58,10 @@ struct ProgressiveOptions {
   /// Cap on samples per engine wave (0 = one wave per checkpoint).
   /// Execution granularity only — never affects results.
   uint64_t max_wave = 0;
-  /// Worker threads (1 = inline on the caller's thread; >1 executes on the
-  /// persistent SharedThreadPool). Never affects results.
+  /// Cap on concurrently sampling threads (1 = inline on the caller's
+  /// thread; >1 executes on the persistent SharedThreadPool, using at most
+  /// min(num_threads, pool width, stripes) of its threads). Never affects
+  /// results.
   uint32_t num_threads = 1;
   /// Logical RNG stripes (0 = kDefaultSampleStripes). Part of the seed:
   /// different stripe counts draw different (equally valid) streams.
@@ -90,7 +92,9 @@ uint32_t PlannedChecks(uint64_t initial_samples, uint64_t max_samples,
 /// \brief The standard VC-capped doubling schedule shared by the whole-
 /// graph estimators (ABRA, KADABRA): n0 = c/ε²·ln(2/δ) floored at 32, and
 /// Nmax = max(n0, VcSampleBound(ε, δ, vc)). Keeps the three frontends'
-/// schedule parameters from drifting apart.
+/// schedule parameters from drifting apart. Both counts saturate at
+/// kSaturatedSampleCount (stats/vc.h); a caller must refuse to run a
+/// schedule whose Nmax saturated.
 ProgressiveOptions MakeVcCappedSchedule(double epsilon, double delta,
                                         double vc_dimension,
                                         double vc_constant,

@@ -1,6 +1,7 @@
 #include "core/sample_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "util/logging.h"
@@ -13,7 +14,7 @@ namespace {
 /// contributes at most 2³² to an accumulator — a uint64 holds 2³² samples
 /// before overflow, far beyond any VC cap this codebase produces. Integer
 /// accumulation is associative, which keeps the merged moments independent
-/// of wave partitioning and worker scheduling; the 2⁻³³ rounding error per
+/// of wave partitioning and instance scheduling; the 2⁻³³ rounding error per
 /// sample is orders of magnitude below every stopping tolerance.
 constexpr double kFixedPointScale = 4294967296.0;  // 2^32
 
@@ -53,63 +54,96 @@ double SampleStats::sample_variance(size_t i) const {
 }
 
 SampleEngine::SampleEngine(HypothesisRankingProblem* problem,
-                           uint32_t num_workers, Rng* base_rng,
-                           ThreadPool* pool)
+                           uint32_t num_stripes, Rng* base_rng,
+                           ThreadPool* pool, uint32_t max_parallel)
     : weighted_(problem->has_weighted_losses()), pool_(pool) {
-  workers_.push_back(problem);
-  // Inline execution serves every logical worker from the primary instance
-  // (a worker's output is a pure function of its RNG stream; scratch is
-  // epoch-reset state), so physical clones are only materialized when a
-  // pool may run workers concurrently. One probe clone is made either way,
-  // because clonability must decide the logical worker count identically
-  // for pooled and inline runs — a different count partitions the RNG
-  // streams differently. For the same reason clonability is all-or-
-  // nothing: a problem that clones once must keep cloning (partial
-  // clonability would silently give the two execution modes different
-  // worker counts), so a later nullptr is a hard error, not a degrade.
-  if (num_workers > 1 && pool_ == nullptr) {
-    auto probe = problem->CloneForSampling();
-    if (probe != nullptr) {
-      clones_.push_back(std::move(probe));
-      workers_.push_back(clones_.back().get());
-      workers_.resize(num_workers, problem);
+  // One probe clone decides the stripe count, pooled or inline alike: a
+  // different count partitions the RNG streams differently, so it must not
+  // depend on the execution mode. For the same reason clonability is all-
+  // or-nothing — a problem that clones once must keep cloning (partial
+  // clonability would silently give the two modes different stripe
+  // counts), so a later nullptr is a hard error, not a degrade.
+  size_t stripes = 1;
+  std::unique_ptr<HypothesisRankingProblem> probe;
+  if (num_stripes > 1) {
+    probe = problem->CloneForSampling();
+    if (probe != nullptr) stripes = num_stripes;
+  }
+  // Physical instances only pay off when they can run concurrently: one
+  // per task a wave may occupy, never more than there are stripes. A
+  // stripe's output is a pure function of its stream, so any instance may
+  // serve it; an unused probe is dropped here.
+  size_t parallel = 1;
+  if (pool_ != nullptr) {
+    parallel = std::min(stripes, pool_->num_threads());
+    if (max_parallel > 0) {
+      parallel = std::min<size_t>(parallel, max_parallel);
     }
-  } else {
-    for (uint32_t i = 1; i < num_workers; ++i) {
-      auto clone = problem->CloneForSampling();
-      if (i == 1 && clone == nullptr) break;  // non-clonable: one worker
-      SAPHYRA_CHECK_MSG(clone != nullptr,
-                        "CloneForSampling must not fail after succeeding");
-      clones_.push_back(std::move(clone));
-      workers_.push_back(clones_.back().get());
-    }
+  }
+  if (parallel > 1) clones_.push_back(std::move(probe));
+  while (clones_.size() + 1 < parallel) {
+    auto clone = problem->CloneForSampling();
+    SAPHYRA_CHECK_MSG(clone != nullptr,
+                      "CloneForSampling must not fail after succeeding");
+    clones_.push_back(std::move(clone));
   }
   const size_t k = problem->num_hypotheses();
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    rngs_.push_back(base_rng->Split());
-    local_counts_.emplace_back(k, 0);
+  instances_.resize(parallel);
+  for (size_t i = 0; i < parallel; ++i) {
+    Instance& inst = instances_[i];
+    inst.problem = i == 0 ? problem : clones_[i - 1].get();
+    inst.counts.assign(k, 0);
     if (weighted_) {
-      local_fp_sums_.emplace_back(k, 0);
-      local_fp_sum_squares_.emplace_back(k, 0);
-      weighted_scratch_.emplace_back();
+      inst.fp_sums.assign(k, 0);
+      inst.fp_sum_squares.assign(k, 0);
     }
   }
+  for (size_t w = 0; w < stripes; ++w) rngs_.push_back(base_rng->Split());
 }
 
 void SampleEngine::DrawStriped(uint64_t current, uint64_t target) {
-  const size_t nw = workers_.size();
-  // Sample j belongs to worker j mod W: each worker's quota — and therefore
-  // its RNG stream consumption — is a pure function of (current, target,
-  // num_workers), no matter how a run batches its Draw calls.
+  const size_t ns = rngs_.size();
+  // Sample j belongs to stripe j mod W: each stripe's quota — and
+  // therefore its RNG stream consumption — is a pure function of
+  // (current, target, num_stripes), no matter how a run batches its Draw
+  // calls or which instance serves the stripe.
   auto quota_of = [&](size_t w) {
-    return StripeSamplesBelow(target, w, nw) -
-           StripeSamplesBelow(current, w, nw);
+    return StripeSamplesBelow(target, w, ns) -
+           StripeSamplesBelow(current, w, ns);
   };
-  if (nw == 1 || pool_ == nullptr) {
-    for (size_t w = 0; w < nw; ++w) RunWorker(w, quota_of(w));
-  } else {
-    pool_->ParallelFor(0, nw,
-                       [&](size_t w) { RunWorker(w, quota_of(w)); });
+  if (instances_.size() == 1) {
+    for (size_t w = 0; w < ns; ++w) {
+      RunStripe(&instances_[0], w, quota_of(w), /*discard=*/false);
+    }
+    return;
+  }
+  // One task per instance; each owns its instance for the whole wave and
+  // pulls stripes off the shared cursor, so no instance is ever used by
+  // two threads at once and fast tasks absorb the slow stripes.
+  std::atomic<size_t> next_stripe{0};
+  pool_->ParallelFor(0, instances_.size(), [&](size_t i) {
+    for (size_t w = next_stripe.fetch_add(1); w < ns;
+         w = next_stripe.fetch_add(1)) {
+      RunStripe(&instances_[i], w, quota_of(w), /*discard=*/false);
+    }
+  });
+}
+
+void SampleEngine::MergeLocals(std::vector<uint64_t>* counts,
+                               std::vector<uint64_t>* fp_sums,
+                               std::vector<uint64_t>* fp_sum_squares) {
+  for (Instance& inst : instances_) {
+    for (size_t i = 0; i < counts->size(); ++i) {
+      (*counts)[i] += inst.counts[i];
+      inst.counts[i] = 0;
+    }
+    if (fp_sums == nullptr) continue;
+    for (size_t i = 0; i < fp_sums->size(); ++i) {
+      (*fp_sums)[i] += inst.fp_sums[i];
+      (*fp_sum_squares)[i] += inst.fp_sum_squares[i];
+      inst.fp_sums[i] = 0;
+      inst.fp_sum_squares[i] = 0;
+    }
   }
 }
 
@@ -118,18 +152,13 @@ uint64_t SampleEngine::Draw(uint64_t current, uint64_t target,
   SAPHYRA_CHECK(target >= current);
   if (target == current) return target;
   DrawStriped(current, target);
-  for (auto& local : local_counts_) {
-    for (size_t i = 0; i < counts->size(); ++i) {
-      (*counts)[i] += local[i];
-      local[i] = 0;
-    }
-  }
+  MergeLocals(counts, nullptr, nullptr);
   return target;
 }
 
 uint64_t SampleEngine::DrawAccumulate(uint64_t current, uint64_t target) {
   SAPHYRA_CHECK(target >= current);
-  const size_t k = workers_[0]->num_hypotheses();
+  const size_t k = instances_[0].problem->num_hypotheses();
   if (agg_counts_.empty()) {
     agg_counts_.assign(k, 0);
     if (weighted_) {
@@ -146,7 +175,7 @@ uint64_t SampleEngine::DrawAccumulate(uint64_t current, uint64_t target) {
     // the caller sees the unchanged sample count plus last_wave_status().
     RawSampleDelta delta;
     last_wave_status_ =
-        executor_->ExecuteWave(current, target, workers_.size(), &delta);
+        executor_->ExecuteWave(current, target, rngs_.size(), &delta);
     if (!last_wave_status_.ok()) return current;
     if (delta.counts.size() != k ||
         (weighted_ && (delta.fp_sums.size() != k ||
@@ -167,26 +196,14 @@ uint64_t SampleEngine::DrawAccumulate(uint64_t current, uint64_t target) {
   }
   if (target > current) {
     DrawStriped(current, target);
-    for (size_t w = 0; w < workers_.size(); ++w) {
-      for (size_t i = 0; i < k; ++i) {
-        agg_counts_[i] += local_counts_[w][i];
-        local_counts_[w][i] = 0;
-      }
-      if (weighted_) {
-        for (size_t i = 0; i < k; ++i) {
-          agg_fp_sums_[i] += local_fp_sums_[w][i];
-          agg_fp_sum_squares_[i] += local_fp_sum_squares_[w][i];
-          local_fp_sums_[w][i] = 0;
-          local_fp_sum_squares_[w][i] = 0;
-        }
-      }
-    }
+    MergeLocals(&agg_counts_, weighted_ ? &agg_fp_sums_ : nullptr,
+                &agg_fp_sum_squares_);
   }
   return target;
 }
 
 void SampleEngine::SnapshotStats(uint64_t n, SampleStats* stats) const {
-  const size_t k = workers_[0]->num_hypotheses();
+  const size_t k = instances_[0].problem->num_hypotheses();
   stats->n = n;
   stats->weighted = weighted_;
   stats->counts = agg_counts_;
@@ -213,27 +230,20 @@ uint64_t SampleEngine::Draw(uint64_t current, uint64_t target,
 }
 
 void SampleEngine::AdvanceStripe(size_t w, uint64_t count) {
-  SAPHYRA_CHECK(w < workers_.size());
-  // Draw-and-discard: RunWorker consumes exactly the same RNG stream as an
-  // accumulated draw (accumulation never touches the RNG), so zeroing the
-  // stripe's locals afterwards leaves the stream positioned as if another
-  // process had drawn these samples.
-  RunWorker(w, count);
-  std::fill(local_counts_[w].begin(), local_counts_[w].end(), 0);
-  if (weighted_) {
-    std::fill(local_fp_sums_[w].begin(), local_fp_sums_[w].end(), 0);
-    std::fill(local_fp_sum_squares_[w].begin(),
-              local_fp_sum_squares_[w].end(), 0);
-  }
+  SAPHYRA_CHECK(w < rngs_.size());
+  // Draw-and-discard: the RNG stream advances exactly as for an
+  // accumulated draw (accumulation never touches the RNG), leaving the
+  // stripe positioned as if another process had drawn these samples.
+  RunStripe(&instances_[0], w, count, /*discard=*/true);
 }
 
 void SampleEngine::DrawStripe(size_t w, uint64_t count) {
-  SAPHYRA_CHECK(w < workers_.size());
-  RunWorker(w, count);
+  SAPHYRA_CHECK(w < rngs_.size());
+  RunStripe(&instances_[0], w, count, /*discard=*/false);
 }
 
 void SampleEngine::HarvestDelta(RawSampleDelta* out) {
-  const size_t k = workers_[0]->num_hypotheses();
+  const size_t k = instances_[0].problem->num_hypotheses();
   out->counts.assign(k, 0);
   out->fp_sums.clear();
   out->fp_sum_squares.clear();
@@ -241,49 +251,37 @@ void SampleEngine::HarvestDelta(RawSampleDelta* out) {
     out->fp_sums.assign(k, 0);
     out->fp_sum_squares.assign(k, 0);
   }
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    for (size_t i = 0; i < k; ++i) {
-      out->counts[i] += local_counts_[w][i];
-      local_counts_[w][i] = 0;
-    }
-    if (weighted_) {
-      for (size_t i = 0; i < k; ++i) {
-        out->fp_sums[i] += local_fp_sums_[w][i];
-        out->fp_sum_squares[i] += local_fp_sum_squares_[w][i];
-        local_fp_sums_[w][i] = 0;
-        local_fp_sum_squares_[w][i] = 0;
-      }
-    }
-  }
+  MergeLocals(&out->counts, weighted_ ? &out->fp_sums : nullptr,
+              &out->fp_sum_squares);
 }
 
-void SampleEngine::RunWorker(size_t w, uint64_t quota) {
+void SampleEngine::RunStripe(Instance* inst, size_t w, uint64_t quota,
+                             bool discard) {
+  Rng* rng = &rngs_[w];
   if (weighted_) {
-    auto& hits = weighted_scratch_[w];
-    auto& counts = local_counts_[w];
-    auto& sums = local_fp_sums_[w];
-    auto& squares = local_fp_sum_squares_[w];
+    auto& hits = inst->weighted_hits;
     for (uint64_t j = 0; j < quota; ++j) {
       hits.clear();
-      workers_[w]->SampleWeightedLosses(&rngs_[w], &hits);
+      inst->problem->SampleWeightedLosses(rng, &hits);
+      if (discard) continue;
       for (const WeightedHit& h : hits) {
-        SAPHYRA_CHECK(h.index < counts.size());
+        SAPHYRA_CHECK(h.index < inst->counts.size());
         if (h.value <= 0.0) continue;
-        ++counts[h.index];
-        sums[h.index] += ToFixedPoint(h.value);
-        squares[h.index] += ToFixedPoint(h.value * h.value);
+        ++inst->counts[h.index];
+        inst->fp_sums[h.index] += ToFixedPoint(h.value);
+        inst->fp_sum_squares[h.index] += ToFixedPoint(h.value * h.value);
       }
     }
     return;
   }
-  std::vector<uint32_t> hits;
-  auto& local = local_counts_[w];
+  auto& hits = inst->hits;
   for (uint64_t j = 0; j < quota; ++j) {
     hits.clear();
-    workers_[w]->SampleApproxLosses(&rngs_[w], &hits);
+    inst->problem->SampleApproxLosses(rng, &hits);
+    if (discard) continue;
     for (uint32_t i : hits) {
-      SAPHYRA_CHECK(i < local.size());
-      ++local[i];
+      SAPHYRA_CHECK(i < inst->counts.size());
+      ++inst->counts[i];
     }
   }
 }

@@ -90,40 +90,52 @@ struct SampleStats {
 /// \brief Draws batches of i.i.d. samples for the adaptive estimation loop,
 /// serially or across a persistent thread pool.
 ///
-/// The engine decomposes work into `num_workers` *logical* workers, each
-/// with an independently split RNG stream. Pooled execution materializes
-/// one CloneForSampling copy per extra worker (workers may run
-/// concurrently); inline execution serves every logical worker from the
-/// caller's instance, since a worker's output is a pure function of its
-/// stream (one probe clone is still made, so clonability fixes the same
-/// logical worker count in both modes). Sample j (globally indexed over
-/// the whole run) always belongs to worker j mod W, so worker w's slice of
-/// its own RNG stream is a pure function of how many samples have been
-/// requested in total — never of how the request was batched:
+/// The engine separates *logical stripes* from *physical instances*.
 ///
-///   **Determinism contract.** For a fixed (base_rng seed, num_workers),
+///  * Stripes fix the statistics: the engine splits `num_stripes`
+///    independent RNG streams off the base generator, and sample j
+///    (globally indexed over the whole run) always belongs to stripe
+///    j mod W, so stripe w's slice of its own stream is a pure function of
+///    how many samples have been requested in total — never of how the
+///    request was batched.
+///  * Instances fix the cost: only P = min(num_stripes, pool width,
+///    max_parallel) problem objects exist — the caller's problem plus P−1
+///    CloneForSampling copies — each with its own scratch and accumulators.
+///    A wave runs as P pool tasks; each task owns one instance and pulls
+///    stripe indices from a shared cursor until every stripe's quota is
+///    drawn. A stripe's output is a pure function of its stream, and the
+///    integer accumulators are associative, so which instance serves which
+///    stripe is invisible in the merged result. Inline execution
+///    (pool == nullptr, or P == 1) serves every stripe from the caller's
+///    instance; one probe clone is still made whenever num_stripes > 1,
+///    because clonability must decide the stripe count identically for
+///    pooled and inline runs.
+///
+///   **Determinism contract.** For a fixed (base_rng seed, num_stripes),
 ///   the merged statistics after N total samples are bitwise identical
-///   across runs, across pool sizes, against inline execution
-///   (pool == nullptr), and across any partitioning of the N samples into
-///   Draw calls. They do differ from a run with another num_workers, which
-///   partitions the streams differently.
+///   across runs, across pool sizes and concurrency caps, against inline
+///   execution (pool == nullptr), and across any partitioning of the N
+///   samples into Draw calls. They do differ from a run with another
+///   num_stripes, which partitions the streams differently.
 ///
 /// Execution goes through the ThreadPool passed at construction (typically
-/// SharedThreadPool()) — the workers persist across the adaptive rounds
-/// instead of being spawned and joined per round. Per-worker accumulators
-/// are merged after every batch.
+/// SharedThreadPool()) — the pool threads persist across the adaptive
+/// rounds instead of being spawned and joined per round. Per-instance
+/// accumulators are merged after every batch.
 class SampleEngine {
  public:
   /// \brief `pool` may be null to force inline execution on the caller's
-  /// thread; it must otherwise outlive the engine. Requests for more than
-  /// one worker degrade gracefully to one when the problem does not
-  /// support cloning at all; a problem whose first clone succeeds must
-  /// keep cloning (all-or-nothing — see CloneForSampling).
-  SampleEngine(HypothesisRankingProblem* problem, uint32_t num_workers,
-               Rng* base_rng, ThreadPool* pool);
+  /// thread; it must otherwise outlive the engine. `max_parallel` caps how
+  /// many instances (hence pool tasks) a wave uses; 0 = the pool width.
+  /// Requests for more than one stripe degrade gracefully to one when the
+  /// problem does not support cloning at all; a problem whose first clone
+  /// succeeds must keep cloning (all-or-nothing — see CloneForSampling).
+  SampleEngine(HypothesisRankingProblem* problem, uint32_t num_stripes,
+               Rng* base_rng, ThreadPool* pool, uint32_t max_parallel = 0);
 
-  /// \brief Logical workers actually created.
-  size_t num_workers() const { return workers_.size(); }
+  /// \brief Logical RNG stripes actually created (1 for a non-clonable
+  /// problem).
+  size_t num_workers() const { return rngs_.size(); }
 
   /// \brief Delegate every DrawAccumulate wave to `executor` (borrowed;
   /// nullptr restores local drawing). Only the DrawAccumulate path — the
@@ -171,32 +183,44 @@ class SampleEngine {
   /// worker restart transparent.
   void AdvanceStripe(size_t w, uint64_t count);
 
-  /// \brief Draw `count` samples on stripe `w` into the stripe's local
+  /// \brief Draw `count` samples on stripe `w` into the local
   /// accumulators (harvested later by HarvestDelta).
   void DrawStripe(size_t w, uint64_t count);
 
-  /// \brief Sum all stripes' local accumulators into *out and zero them.
+  /// \brief Sum all local accumulators into *out and zero them.
   void HarvestDelta(RawSampleDelta* out);
 
  private:
-  void RunWorker(size_t w, uint64_t quota);
-  void DrawStriped(uint64_t current, uint64_t target);
+  /// One physical problem instance with the local accumulators of the
+  /// stripes it served since the last merge, zeroed by every merge. For
+  /// 0/1 problems only `counts` is used; weighted problems also fill the
+  /// fixed-point moment accumulators.
+  struct Instance {
+    HypothesisRankingProblem* problem = nullptr;
+    std::vector<uint64_t> counts;
+    std::vector<uint64_t> fp_sums;
+    std::vector<uint64_t> fp_sum_squares;
+    std::vector<uint32_t> hits;                ///< scratch
+    std::vector<WeightedHit> weighted_hits;    ///< scratch
+  };
 
-  std::vector<HypothesisRankingProblem*> workers_;
+  /// Draw `quota` samples of stripe `w` on `inst`; accumulate unless
+  /// `discard` (the RNG consumption is the same either way).
+  void RunStripe(Instance* inst, size_t w, uint64_t quota, bool discard);
+  void DrawStriped(uint64_t current, uint64_t target);
+  /// Add every instance's locals into the given arrays and zero them.
+  void MergeLocals(std::vector<uint64_t>* counts,
+                   std::vector<uint64_t>* fp_sums,
+                   std::vector<uint64_t>* fp_sum_squares);
+
+  std::vector<Instance> instances_;
   std::vector<std::unique_ptr<HypothesisRankingProblem>> clones_;
-  std::vector<Rng> rngs_;
+  std::vector<Rng> rngs_;  ///< one stream per logical stripe
   bool weighted_ = false;
-  /// Per-worker locals, zeroed after each merge. For 0/1 problems only
-  /// local_counts_ is used; weighted problems also fill the fixed-point
-  /// moment accumulators.
-  std::vector<std::vector<uint64_t>> local_counts_;
-  std::vector<std::vector<uint64_t>> local_fp_sums_;
-  std::vector<std::vector<uint64_t>> local_fp_sum_squares_;
   /// Running merged accumulators of the SampleStats overload.
   std::vector<uint64_t> agg_counts_;
   std::vector<uint64_t> agg_fp_sums_;
   std::vector<uint64_t> agg_fp_sum_squares_;
-  std::vector<std::vector<WeightedHit>> weighted_scratch_;
   ThreadPool* pool_;
   WaveExecutor* executor_ = nullptr;
   Status last_wave_status_;

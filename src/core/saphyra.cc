@@ -79,16 +79,21 @@ SaphyraResult RunSaphyra(HypothesisRankingProblem* problem,
   const double c = options.vc_constant;
   const double vc = problem->VcDimension();
   const double log_inv_delta = std::log(1.0 / options.delta);
-  auto to_count = [](double x) {
-    return static_cast<uint64_t>(std::ceil(std::max(0.0, x)));
-  };
   // Lines 6-7: initial and maximal sample sizes.
-  uint64_t n0 = to_count(c / (eps_prime * eps_prime) * log_inv_delta);
+  uint64_t n0 =
+      SaturatingSampleCount(c / (eps_prime * eps_prime) * log_inv_delta);
   n0 = std::max(n0, options.min_initial_samples);
-  uint64_t n_max =
-      to_count(c / (eps_prime * eps_prime) * (vc + log_inv_delta));
+  uint64_t n_max = SaturatingSampleCount(c / (eps_prime * eps_prime) *
+                                         (vc + log_inv_delta));
   n_max = std::max(n_max, n0);
   result.max_samples = n_max;
+  if (n_max == kSaturatedSampleCount) {
+    // No run of 2^64 samples can finish: refuse rather than sample
+    // forever (or, as a wrapped cast once did, stop after 32 samples and
+    // claim the guarantee).
+    result.budget_saturated = true;
+    return result;
+  }
 
   // Pilot phase (§III-C): estimate variances on an independent stream and
   // allocate per-hypothesis failure probabilities (Eq. 13). A fixed-budget
@@ -193,6 +198,11 @@ SaphyraResult RunDirectEstimation(HypothesisRankingProblem* problem,
       std::max(options.min_initial_samples,
                VcSampleBound(options.epsilon, options.delta,
                              problem->VcDimension(), options.vc_constant));
+  if (n == kSaturatedSampleCount) {
+    result.max_samples = n;
+    result.budget_saturated = true;
+    return result;
+  }
   // One fixed-budget schedule: a single checkpoint at the VC bound.
   ProgressiveSampler sampler(problem, ScheduleFor(options, n, n, 0), &rng);
   FixedBudgetRule rule;

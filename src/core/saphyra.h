@@ -79,13 +79,18 @@ class HypothesisRankingProblem {
   /// Only called when has_weighted_losses() is true.
   virtual void SampleWeightedLosses(Rng* rng, std::vector<WeightedHit>* hits);
 
-  /// \brief Optional: an independent sampling clone for one worker thread.
+  /// \brief Optional: an independent sampling instance for one pool task.
   ///
   /// Samples are i.i.d., so generation parallelizes trivially — the paper
   /// notes its framework "can be potentially combined with parallel and
   /// distributed methods". A clone must draw from the same distribution D̃
-  /// but own its scratch state (BFS buffers etc.). Return nullptr (the
-  /// default) to keep the run single-threaded. Clonability must be
+  /// but own its mutable scratch state (BFS buffers etc.); a sample must
+  /// be a pure function of the RNG it is handed, since the engine lets any
+  /// instance serve any of its logical RNG stripes. Immutable per-query
+  /// tables may be shared with the original. The engine makes one clone
+  /// per extra thread a wave runs on (at most min(num_threads, pool width,
+  /// stripes) − 1), plus one probe even for inline runs. Return nullptr
+  /// (the default) to keep the run single-threaded. Clonability must be
   /// all-or-nothing: once a clone has been handed out, later calls must
   /// keep succeeding — the sampling engine sizes its deterministic RNG
   /// stream partition off the first probe, so a mid-run nullptr is a
@@ -110,8 +115,9 @@ struct SaphyraOptions {
   /// Lower bound on the initial sample size, so the adaptive loop has a
   /// meaningful variance estimate even when ε′ is huge.
   uint64_t min_initial_samples = 32;
-  /// Worker threads for sample generation (1 = serial, running inline on
-  /// the caller's thread; >1 executes on the persistent SharedThreadPool).
+  /// Cap on threads sampling concurrently (1 = serial, running inline on
+  /// the caller's thread; >1 executes on the persistent SharedThreadPool,
+  /// occupying at most min(num_threads, pool width, 16 stripes) of it).
   /// Purely an execution choice: the logical sampling streams are striped
   /// over a fixed number of RNG stripes, so results are bitwise identical
   /// for a given seed regardless of num_threads (see
@@ -185,6 +191,11 @@ struct SaphyraResult {
   /// kDeadlineExceeded or kCancelled (token), or kUnavailable (delegated
   /// wave execution lost its workers) when degraded; kOk otherwise.
   StatusCode degrade_reason = StatusCode::kOk;
+  /// The requested ε needs a sample budget past 2^64 − 1 (it saturated at
+  /// kSaturatedSampleCount, stats/vc.h): nothing was sampled, the
+  /// estimates are the exact-subspace risks only and carry no guarantee.
+  /// The serving layer rejects such requests with INVALID_ARGUMENT.
+  bool budget_saturated = false;
   /// Only meaningful when degraded: the worst-case deviation bound the
   /// truncated run actually achieves, in combined-risk units (ε-mode: the
   /// λ-scaled Bernstein bound over all hypotheses; top-k mode: the widest

@@ -8,6 +8,7 @@
 #include "closeness/closeness.h"
 #include "core/saphyra.h"
 #include "kpath/kpath.h"
+#include "service/json_util.h"
 #include "service/shard.h"
 #include "util/failpoint.h"
 #include "util/hash.h"
@@ -203,6 +204,17 @@ QueryResult QuerySession::RunCanonical(const GraphSnapshot& snap,
     res.degrade_reason = reason;
     res.epsilon_achieved = eps_achieved;
   };
+  // An ε whose sample budget saturates 2^64 can never be honoured: the
+  // estimator refused to sample, and the request is answered as the
+  // out-of-range parameter it is.
+  auto budget_saturated = [&res, &req](bool saturated) {
+    if (saturated) {
+      res.status = Status::InvalidArgument(
+          "epsilon " + JsonNumber(req.epsilon) +
+          " needs a sample budget beyond 2^64 samples");
+    }
+    return saturated;
+  };
 
   Timer timer;
   switch (req.estimator) {
@@ -220,11 +232,13 @@ QueryResult QuerySession::RunCanonical(const GraphSnapshot& snap,
       opts.wave_executor = wave_executor;
       if (req.estimator == EstimatorKind::kBcFull) {
         SaphyraBcResult r = RunSaphyraBcFull(snap.isp(), opts);
+        if (budget_saturated(r.budget_saturated)) break;
         res.samples_used = r.samples_used;
         mark_degraded(r.degraded, r.degrade_reason, r.epsilon_achieved);
         ReportSubset(r.bc, req.targets, &res);
       } else {
         SaphyraBcResult r = RunSaphyraBc(snap.isp(), req.targets, opts);
+        if (budget_saturated(r.budget_saturated)) break;
         res.samples_used = r.samples_used;
         mark_degraded(r.degraded, r.degrade_reason, r.epsilon_achieved);
         res.nodes = req.targets;
@@ -248,6 +262,7 @@ QueryResult QuerySession::RunCanonical(const GraphSnapshot& snap,
       opts.wave_executor = wave_executor;
       KPathProblem problem(graph, targets, req.k);
       SaphyraResult r = RunSaphyra(&problem, opts);
+      if (budget_saturated(r.budget_saturated)) break;
       res.samples_used = r.samples_used;
       mark_degraded(r.degraded, r.degrade_reason, r.epsilon_achieved);
       res.nodes = std::move(targets);
@@ -268,6 +283,7 @@ QueryResult QuerySession::RunCanonical(const GraphSnapshot& snap,
       HarmonicClosenessProblem problem(graph, targets);
       problem.set_traversal(req.traversal);
       SaphyraResult r = RunSaphyra(&problem, opts);
+      if (budget_saturated(r.budget_saturated)) break;
       res.samples_used = r.samples_used;
       // RiskToCentrality is linear (×n/(n−1)), so the achieved risk bound
       // converts to centrality units through the same map.
@@ -290,6 +306,7 @@ QueryResult QuerySession::RunCanonical(const GraphSnapshot& snap,
       opts.cancel = cancel;
       opts.wave_executor = wave_executor;
       AbraResult r = RunAbra(graph, opts);
+      if (budget_saturated(r.budget_saturated)) break;
       res.samples_used = r.samples_used;
       mark_degraded(r.degraded, r.degrade_reason, r.epsilon_achieved);
       ReportSubset(r.bc, req.targets, &res);
@@ -307,6 +324,7 @@ QueryResult QuerySession::RunCanonical(const GraphSnapshot& snap,
       opts.cancel = cancel;
       opts.wave_executor = wave_executor;
       KadabraResult r = RunKadabra(graph, opts);
+      if (budget_saturated(r.budget_saturated)) break;
       res.samples_used = r.samples_used;
       mark_degraded(r.degraded, r.degrade_reason, r.epsilon_achieved);
       ReportSubset(r.bc, req.targets, &res);

@@ -337,6 +337,51 @@ TEST(QuerySessionTest, LazyIndexAndErrors) {
           .ok());
 }
 
+TEST(QuerySessionTest, SaturatedSampleBudgetIsInvalidArgument) {
+  // An ε small enough that c/ε²·(VC + ln 1/δ) passes 2^64 samples can
+  // never be honoured. Every estimator must refuse it as an out-of-range
+  // parameter — not answer ok from a wrapped budget of a few samples, and
+  // not sample forever.
+  SessionOptions opts;
+  opts.load.use_cache = false;  // leave the checked-in fixture untouched
+  std::unique_ptr<QuerySession> session;
+  ASSERT_TRUE(QuerySession::Open(SAPHYRA_TEST_DATA_DIR "/serve_fixture.txt",
+                                 opts, &session)
+                  .ok());
+  struct Case {
+    EstimatorKind estimator;
+    std::vector<NodeId> targets;
+  };
+  const std::vector<Case> cases = {
+      {EstimatorKind::kBc, {0, 3, 5}},  {EstimatorKind::kBcFull, {}},
+      {EstimatorKind::kKPath, {0, 3}},  {EstimatorKind::kCloseness, {0, 3}},
+      {EstimatorKind::kAbra, {0, 3}},   {EstimatorKind::kKadabra, {0, 3}},
+  };
+  for (double eps : {1e-10, 1e-300}) {
+    for (const Case& c : cases) {
+      QueryRequest req;
+      req.id = "tiny";
+      req.estimator = c.estimator;
+      req.targets = c.targets;
+      req.epsilon = eps;
+      if (c.estimator == EstimatorKind::kKPath) req.k = 3;
+      const QueryResult res = session->Run(req);
+      SCOPED_TRACE(::testing::Message()
+                   << EstimatorKindName(c.estimator) << " eps " << eps);
+      EXPECT_EQ(res.status.code(), StatusCode::kInvalidArgument)
+          << res.status.ToString();
+      EXPECT_NE(SerializeQueryResult(res).find("\"code\":\"INVALID_ARGUMENT\""),
+                std::string::npos);
+    }
+  }
+  // A representable budget still runs.
+  QueryRequest ok;
+  ok.estimator = EstimatorKind::kBc;
+  ok.targets = {0, 3, 5};
+  ok.epsilon = 0.05;
+  EXPECT_TRUE(session->Run(ok).status.ok());
+}
+
 TEST(BatchSchedulerTest, MemoizationAndStats) {
   GraphFiles files(PaperFig2Graph());
   std::unique_ptr<QuerySession> session;

@@ -225,6 +225,7 @@ int main(int argc, char** argv) {
 
   timer.Restart();
   std::vector<double> estimates;
+  bool budget_saturated = false;
   if (args.algorithm == "saphyra" || args.algorithm == "saphyra-full") {
     std::unique_ptr<IspIndex> isp_ptr =
         cache.has_decomposition
@@ -241,6 +242,7 @@ int main(int argc, char** argv) {
         args.algorithm == "saphyra-full"
             ? RunSaphyraBcFull(isp, opts)
             : RunSaphyraBc(isp, targets, opts);
+    budget_saturated = res.budget_saturated;
     if (args.algorithm == "saphyra-full") {
       estimates.reserve(targets.size());
       for (NodeId v : targets) estimates.push_back(res.bc[v]);
@@ -259,6 +261,7 @@ int main(int argc, char** argv) {
     opts.seed = args.seed;
     opts.top_k = args.topk;
     AbraResult res = RunAbra(g, opts);
+    budget_saturated = res.budget_saturated;
     for (NodeId v : targets) estimates.push_back(res.bc[v]);
   } else if (args.algorithm == "kadabra") {
     KadabraOptions opts;
@@ -268,9 +271,16 @@ int main(int argc, char** argv) {
     opts.top_k = args.topk;
     opts.traversal = args.traversal;
     KadabraResult res = RunKadabra(g, opts);
+    budget_saturated = res.budget_saturated;
     for (NodeId v : targets) estimates.push_back(res.bc[v]);
   } else {
     std::fprintf(stderr, "unknown algorithm %s\n", args.algorithm.c_str());
+    return 2;
+  }
+  if (budget_saturated) {
+    std::fprintf(stderr,
+                 "--epsilon %g needs a sample budget beyond 2^64 samples\n",
+                 args.epsilon);
     return 2;
   }
   std::fprintf(stderr, "ranked in %s\n",
