@@ -238,7 +238,6 @@ AbraResult RunAbra(const Graph& g, const AbraOptions& options) {
     return result;
   }
   schedule.cancel = options.cancel;
-  if (options.wave_executor) schedule.executor = options.wave_executor(0);
   if (options.cancel != nullptr && options.cancel->CanExpire() &&
       schedule.max_wave == 0) {
     schedule.max_wave = 1024;  // poll often enough for the deadline to bite
@@ -279,14 +278,6 @@ AbraResult RunAbra(const Graph& g, const AbraOptions& options) {
   result.degrade_reason = run.degrade_reason;
   result.seconds = timer.ElapsedSeconds();
   return result;
-}
-
-std::unique_ptr<HypothesisRankingProblem> MakeAbraSamplingProblem(
-    const Graph& g) {
-  // Shard workers never read VcDimension (the coordinator owns the sample
-  // schedule), so the two-BFS Riondato bound is skipped deliberately —
-  // sampling behavior is independent of it.
-  return std::make_unique<AbraProblem>(g, /*vc_bound=*/0.0);
 }
 
 }  // namespace saphyra

@@ -2,8 +2,6 @@
 #define SAPHYRA_BASELINES_KADABRA_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "bc/path_sampler.h"
@@ -42,10 +40,6 @@ struct KadabraOptions {
   /// expiry the run returns completed-wave estimates tagged degraded.
   /// Borrowed; must outlive the run.
   const CancelToken* cancel = nullptr;
-  /// Optional delegated wave execution (core/sample_engine.h): KADABRA
-  /// runs a single progressive loop, so only ordinal 0 is requested.
-  /// Empty = local drawing.
-  std::function<WaveExecutor*(uint32_t ordinal)> wave_executor;
 };
 
 /// \brief Output of KADABRA.
@@ -83,12 +77,6 @@ struct KadabraResult {
 /// uniform weights. With `top_k` set the stop condition is instead
 /// confidence-interval separation of the k most-central nodes.
 KadabraResult RunKadabra(const Graph& g, const KadabraOptions& options);
-
-/// \brief KADABRA's uniform-path sampling problem as a standalone object,
-/// for shard workers that replay stripe draws bit-for-bit. Identical RNG
-/// consumption per sample to the problem RunKadabra builds internally.
-std::unique_ptr<HypothesisRankingProblem> MakeKadabraSamplingProblem(
-    const Graph& g, SamplingStrategy strategy, TraversalPolicy traversal);
 
 }  // namespace saphyra
 

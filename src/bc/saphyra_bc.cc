@@ -139,7 +139,6 @@ SaphyraBcResult RunSaphyraBc(const IspIndex& isp,
   fw.max_wave = options.max_wave;
   fw.traversal = options.traversal;
   fw.cancel = options.cancel;
-  fw.wave_executor = options.wave_executor;
   if (options.top_k > 0) {
     // b̃c(v) = bc_a(v) + γη·ℓ_v: separation must rank by the final bc, so
     // the break-point mass enters the rule as an offset in ℓ units.
@@ -180,53 +179,6 @@ SaphyraBcResult RunSaphyraBcFull(const IspIndex& isp,
   std::vector<NodeId> all(isp.graph().num_nodes());
   for (NodeId v = 0; v < isp.graph().num_nodes(); ++v) all[v] = v;
   return RunSaphyraBc(isp, all, options);
-}
-
-namespace {
-
-/// Self-contained Gen_bc problem for shard workers: owns the personalized
-/// space and an options copy (the inner SaphyraBcProblem holds both by
-/// reference), then forwards every virtual to it. Sampling behavior — and
-/// therefore RNG stream consumption — is identical to the problem
-/// RunSaphyraBc builds, which is the bitwise-replay contract the sharded
-/// tier relies on.
-class OwningSaphyraBcProblem : public HypothesisRankingProblem {
- public:
-  OwningSaphyraBcProblem(const IspIndex& isp,
-                         const std::vector<NodeId>& targets,
-                         const SaphyraBcOptions& options)
-      : options_(options),
-        space_(isp, targets),
-        // The VC bound is only read through VcDimension(), which shard
-        // workers never call (the coordinator owns the schedule); compute
-        // it anyway so the object is honest standalone.
-        inner_(space_, options_,
-               ComputePersonalizedVcBounds(space_).vc_bound) {}
-
-  size_t num_hypotheses() const override { return inner_.num_hypotheses(); }
-  double ComputeExactRisks(std::vector<double>* exact_risks) override {
-    return inner_.ComputeExactRisks(exact_risks);
-  }
-  void SampleApproxLosses(Rng* rng, std::vector<uint32_t>* hits) override {
-    inner_.SampleApproxLosses(rng, hits);
-  }
-  double VcDimension() const override { return inner_.VcDimension(); }
-  std::unique_ptr<HypothesisRankingProblem> CloneForSampling() override {
-    return inner_.CloneForSampling();
-  }
-
- private:
-  SaphyraBcOptions options_;
-  PersonalizedSpace space_;
-  SaphyraBcProblem inner_;
-};
-
-}  // namespace
-
-std::unique_ptr<HypothesisRankingProblem> MakeSaphyraBcSamplingProblem(
-    const IspIndex& isp, const std::vector<NodeId>& targets,
-    const SaphyraBcOptions& options) {
-  return std::make_unique<OwningSaphyraBcProblem>(isp, targets, options);
 }
 
 }  // namespace saphyra

@@ -134,8 +134,7 @@ BiconnectedComponents RepairBiconnectedComponents(
   if (static_cast<double>(dirty_arcs) >
       opts.max_dirty_fraction * static_cast<double>(new_graph.num_arcs())) {
     stats->fell_back = true;
-    return ComputeBiconnectedComponentsParallel(new_graph,
-                                                opts.fallback_threads);
+    return ComputeBiconnectedComponents(new_graph);
   }
 
   uint32_t label_space = old_bcc.num_components;
@@ -173,7 +172,7 @@ BiconnectedComponents RepairBiconnectedComponents(
     }
     Graph sub;
     Status st = builder.Build(static_cast<NodeId>(dirty_nodes.size()), &sub);
-    SAPHYRA_CHECK_MSG(st.ok(), st.message());
+    SAPHYRA_CHECK_MSG(st.ok(), st.message().c_str());
     const BiconnectedComponents sub_bcc = ComputeBiconnectedComponents(sub);
     // Graft the sub-labels back, offset past the old label space so clean
     // and recomputed labels never collide before the canonical renumber.

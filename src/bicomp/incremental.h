@@ -16,7 +16,7 @@
 ///   - deleting an edge can only split the block that contained it; all
 ///     other blocks are untouched.
 /// So the repair transfers the old per-arc labels onto the new CSR,
-/// recomputes the serial decomposition on the small "dirty" edge set
+/// recomputes the decomposition on the small "dirty" edge set
 /// (path-union on insert, the containing block on delete), grafts the
 /// sub-labels back, and reruns the shared canonical finalization
 /// (FinalizeBicompFields). Because every derived field is a pure function
@@ -33,8 +33,8 @@
 ///
 /// When the dirty region exceeds `max_dirty_fraction` of the graph's
 /// arcs (a mutation bridging two huge blocks), repairing costs about as
-/// much as recomputing — the repair falls back to the parallel pass,
-/// which honors the same canonicalization contract, so the fallback is
+/// much as recomputing — the repair falls back to the full pass, which
+/// honors the same canonicalization contract, so the fallback is
 /// invisible in the output bytes.
 
 #include <cstdint>
@@ -54,18 +54,14 @@ struct EdgeMutation {
 };
 
 struct IncrementalBicompOptions {
-  /// Fall back to the full parallel pass when the dirty region exceeds
-  /// this fraction of the new graph's arcs.
+  /// Fall back to the full pass when the dirty region exceeds this
+  /// fraction of the new graph's arcs.
   double max_dirty_fraction = 0.25;
-  /// Thread count for the fallback pass (0 = shared pool width, 1 =
-  /// serial). Any value produces the same bytes (canonicalization
-  /// contract).
-  uint32_t fallback_threads = 1;
 };
 
 /// \brief Observability of one repair (tests pin the routing decisions).
 struct IncrementalBicompStats {
-  bool fell_back = false;      ///< full parallel pass ran instead
+  bool fell_back = false;      ///< full pass ran instead
   uint64_t dirty_arcs = 0;     ///< arcs of the recomputed region
   uint32_t dirty_blocks = 0;   ///< old components in the dirty set
 };

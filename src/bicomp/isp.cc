@@ -7,12 +7,9 @@
 
 namespace saphyra {
 
-IspIndex::IspIndex(const Graph& g, const IspOptions& opts)
+IspIndex::IspIndex(const Graph& g)
     : g_(&g),
-      bcc_(opts.bicomp_threads == 1
-               ? ComputeBiconnectedComponents(g)
-               : ComputeBiconnectedComponentsParallel(g,
-                                                      opts.bicomp_threads)),
+      bcc_(ComputeBiconnectedComponents(g)),
       conn_(ConnectedComponents(g)),
       tree_(BlockCutTree::Build(g, bcc_, conn_)),
       views_(g, bcc_) {

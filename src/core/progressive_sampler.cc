@@ -225,7 +225,6 @@ ProgressiveSampler::ProgressiveSampler(HypothesisRankingProblem* problem,
               /*max_parallel=*/options.num_threads) {
   SAPHYRA_CHECK(options_.max_samples >= 2);
   SAPHYRA_CHECK(options_.growth > 1.0);
-  engine_.set_wave_executor(options_.executor);
 }
 
 ProgressiveResult ProgressiveSampler::Run(StoppingRule* rule) {
@@ -256,15 +255,6 @@ ProgressiveResult ProgressiveSampler::Run(StoppingRule* rule) {
               ? checkpoint
               : std::min(checkpoint, n + options_.max_wave);
       n = engine_.DrawAccumulate(n, wave_target);
-      if (!engine_.last_wave_status().ok()) {
-        // A delegated wave failed (e.g. the sharded tier lost its workers
-        // past the retry budget). The failed wave contributed nothing, so
-        // — like a deadline expiry — the run finalizes from completed
-        // waves only, tagged with the failure's code.
-        result.degraded = true;
-        result.degrade_reason = engine_.last_wave_status().code();
-        break;
-      }
       ++result.waves_used;
     }
     engine_.SnapshotStats(n, &result.stats);

@@ -73,14 +73,6 @@ struct ProgressiveOptions {
   /// (seed, truncation point) — see util/cancel.h. Borrowed; must outlive
   /// the run.
   const CancelToken* cancel = nullptr;
-  /// Optional delegated wave execution (core/sample_engine.h): when set,
-  /// every wave is executed through this hook instead of being drawn
-  /// locally — the sharded serving tier farms stripes out to worker
-  /// processes here. A failing wave degrades the run (the failure's status
-  /// code becomes `degrade_reason`) exactly like a deadline expiry: the
-  /// result finalizes from completed waves only. Borrowed; must outlive
-  /// the run. Never affects result bytes while waves succeed.
-  WaveExecutor* executor = nullptr;
 };
 
 /// \brief Number of stopping-rule checkpoints the schedule will evaluate:
@@ -227,9 +219,7 @@ struct ProgressiveResult {
   /// deterministic for a fixed (seed, samples_used) — see util/cancel.h.
   bool degraded = false;
   /// Why the run degraded: kDeadlineExceeded or kCancelled from the
-  /// token, or the wave executor's failure code (kUnavailable when the
-  /// sharded tier lost its workers past the retry budget). kOk unless
-  /// `degraded`.
+  /// token. kOk unless `degraded`.
   StatusCode degrade_reason = StatusCode::kOk;
 };
 

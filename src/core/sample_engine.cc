@@ -26,12 +26,14 @@ double FromFixedPoint(uint64_t fp) {
   return static_cast<double>(fp) / kFixedPointScale;
 }
 
-}  // namespace
-
+/// #samples with global index in [0, n) assigned to stripe `w` of
+/// `num_stripes` under the engine's `j mod W` striping.
 uint64_t StripeSamplesBelow(uint64_t n, size_t w, size_t num_stripes) {
   if (n <= w) return 0;
   return (n - w - 1) / num_stripes + 1;
 }
+
+}  // namespace
 
 double SampleStats::mean(size_t i) const {
   if (n == 0) return 0.0;
@@ -113,7 +115,7 @@ void SampleEngine::DrawStriped(uint64_t current, uint64_t target) {
   };
   if (instances_.size() == 1) {
     for (size_t w = 0; w < ns; ++w) {
-      RunStripe(&instances_[0], w, quota_of(w), /*discard=*/false);
+      RunStripe(&instances_[0], w, quota_of(w));
     }
     return;
   }
@@ -124,7 +126,7 @@ void SampleEngine::DrawStriped(uint64_t current, uint64_t target) {
   pool_->ParallelFor(0, instances_.size(), [&](size_t i) {
     for (size_t w = next_stripe.fetch_add(1); w < ns;
          w = next_stripe.fetch_add(1)) {
-      RunStripe(&instances_[i], w, quota_of(w), /*discard=*/false);
+      RunStripe(&instances_[i], w, quota_of(w));
     }
   });
 }
@@ -166,34 +168,6 @@ uint64_t SampleEngine::DrawAccumulate(uint64_t current, uint64_t target) {
       agg_fp_sum_squares_.assign(k, 0);
     }
   }
-  last_wave_status_ = Status::OK();
-  if (executor_ != nullptr && target > current) {
-    // Delegated wave: the executor returns the raw integer delta of
-    // samples [current, target) over this engine's stripes; summing it in
-    // is bitwise-identical to having drawn locally because the integer
-    // accumulators are associative. A failed wave contributes nothing —
-    // the caller sees the unchanged sample count plus last_wave_status().
-    RawSampleDelta delta;
-    last_wave_status_ =
-        executor_->ExecuteWave(current, target, rngs_.size(), &delta);
-    if (!last_wave_status_.ok()) return current;
-    if (delta.counts.size() != k ||
-        (weighted_ && (delta.fp_sums.size() != k ||
-                       delta.fp_sum_squares.size() != k))) {
-      last_wave_status_ = Status::Internal(
-          "wave executor returned a malformed delta (hypothesis count "
-          "mismatch)");
-      return current;
-    }
-    for (size_t i = 0; i < k; ++i) agg_counts_[i] += delta.counts[i];
-    if (weighted_) {
-      for (size_t i = 0; i < k; ++i) {
-        agg_fp_sums_[i] += delta.fp_sums[i];
-        agg_fp_sum_squares_[i] += delta.fp_sum_squares[i];
-      }
-    }
-    return target;
-  }
   if (target > current) {
     DrawStriped(current, target);
     MergeLocals(&agg_counts_, weighted_ ? &agg_fp_sums_ : nullptr,
@@ -229,41 +203,13 @@ uint64_t SampleEngine::Draw(uint64_t current, uint64_t target,
   return target;
 }
 
-void SampleEngine::AdvanceStripe(size_t w, uint64_t count) {
-  SAPHYRA_CHECK(w < rngs_.size());
-  // Draw-and-discard: the RNG stream advances exactly as for an
-  // accumulated draw (accumulation never touches the RNG), leaving the
-  // stripe positioned as if another process had drawn these samples.
-  RunStripe(&instances_[0], w, count, /*discard=*/true);
-}
-
-void SampleEngine::DrawStripe(size_t w, uint64_t count) {
-  SAPHYRA_CHECK(w < rngs_.size());
-  RunStripe(&instances_[0], w, count, /*discard=*/false);
-}
-
-void SampleEngine::HarvestDelta(RawSampleDelta* out) {
-  const size_t k = instances_[0].problem->num_hypotheses();
-  out->counts.assign(k, 0);
-  out->fp_sums.clear();
-  out->fp_sum_squares.clear();
-  if (weighted_) {
-    out->fp_sums.assign(k, 0);
-    out->fp_sum_squares.assign(k, 0);
-  }
-  MergeLocals(&out->counts, weighted_ ? &out->fp_sums : nullptr,
-              &out->fp_sum_squares);
-}
-
-void SampleEngine::RunStripe(Instance* inst, size_t w, uint64_t quota,
-                             bool discard) {
+void SampleEngine::RunStripe(Instance* inst, size_t w, uint64_t quota) {
   Rng* rng = &rngs_[w];
   if (weighted_) {
     auto& hits = inst->weighted_hits;
     for (uint64_t j = 0; j < quota; ++j) {
       hits.clear();
       inst->problem->SampleWeightedLosses(rng, &hits);
-      if (discard) continue;
       for (const WeightedHit& h : hits) {
         SAPHYRA_CHECK(h.index < inst->counts.size());
         if (h.value <= 0.0) continue;
@@ -278,7 +224,6 @@ void SampleEngine::RunStripe(Instance* inst, size_t w, uint64_t quota,
   for (uint64_t j = 0; j < quota; ++j) {
     hits.clear();
     inst->problem->SampleApproxLosses(rng, &hits);
-    if (discard) continue;
     for (uint32_t i : hits) {
       SAPHYRA_CHECK(i < inst->counts.size());
       ++inst->counts[i];

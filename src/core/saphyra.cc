@@ -22,7 +22,7 @@ void HypothesisRankingProblem::SampleWeightedLosses(
 namespace {
 
 ProgressiveOptions ScheduleFor(const SaphyraOptions& options, uint64_t n0,
-                               uint64_t n_max, uint32_t ordinal) {
+                               uint64_t n_max) {
   ProgressiveOptions schedule;
   schedule.initial_samples = n0;
   schedule.max_samples = n_max;
@@ -30,12 +30,6 @@ ProgressiveOptions ScheduleFor(const SaphyraOptions& options, uint64_t n0,
   schedule.max_wave = options.max_wave;
   schedule.num_threads = options.num_threads;
   schedule.cancel = options.cancel;
-  // Each progressive run gets its own delegated executor: the pilot
-  // (ordinal 0) and main loop (ordinal 1) consume independent RNG
-  // streams, so the sharded tier tracks their stripe positions separately.
-  if (options.wave_executor) {
-    schedule.executor = options.wave_executor(ordinal);
-  }
   // A bounded run must reach wave boundaries often enough for the poll to
   // matter; an unbounded wave would only notice expiry at the checkpoint.
   if (options.cancel != nullptr && options.cancel->CanExpire() &&
@@ -100,7 +94,7 @@ SaphyraResult RunSaphyra(HypothesisRankingProblem* problem,
   // progressive run of exactly n0 samples.
   std::vector<double> pilot_vars(k);
   {
-    ProgressiveSampler pilot(problem, ScheduleFor(options, n0, n0, 0),
+    ProgressiveSampler pilot(problem, ScheduleFor(options, n0, n0),
                              &pilot_rng);
     FixedBudgetRule pilot_rule;
     ProgressiveResult pilot_run = pilot.Run(&pilot_rule);
@@ -121,8 +115,7 @@ SaphyraResult RunSaphyra(HypothesisRankingProblem* problem,
   // The δ budget must be split over exactly the checkpoints the main
   // sampler will evaluate, so the growth factor comes from the schedule
   // itself rather than a second literal that could drift.
-  const ProgressiveOptions main_schedule =
-      ScheduleFor(options, n0, n_max, 1);
+  const ProgressiveOptions main_schedule = ScheduleFor(options, n0, n_max);
   const uint32_t checks =
       PlannedChecks(n0, n_max, main_schedule.growth);
   const double delta_budget = options.delta / static_cast<double>(checks);
@@ -204,7 +197,7 @@ SaphyraResult RunDirectEstimation(HypothesisRankingProblem* problem,
     return result;
   }
   // One fixed-budget schedule: a single checkpoint at the VC bound.
-  ProgressiveSampler sampler(problem, ScheduleFor(options, n, n, 0), &rng);
+  ProgressiveSampler sampler(problem, ScheduleFor(options, n, n), &rng);
   FixedBudgetRule rule;
   ProgressiveResult run = sampler.Run(&rule);
   result.samples_used = result.max_samples = run.samples_used;

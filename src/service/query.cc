@@ -44,14 +44,10 @@ const char* ServeModeName(ServeMode mode) {
 namespace {
 
 /// Wire spelling of QueryResult::degrade_reason. Falls back to "deadline"
-/// for any code outside the documented trio so a future reason can never
+/// for any code outside the documented pair so a future reason can never
 /// render an unparseable line.
 const char* DegradeReasonName(StatusCode code) {
-  switch (code) {
-    case StatusCode::kCancelled: return "cancelled";
-    case StatusCode::kUnavailable: return "shard_lost";
-    default: return "deadline";
-  }
+  return code == StatusCode::kCancelled ? "cancelled" : "deadline";
 }
 
 }  // namespace
@@ -73,8 +69,10 @@ Status CanonicalizeQuery(NodeId num_nodes, QueryRequest* req) {
     if (req->edge_u > req->edge_v) std::swap(req->edge_u, req->edge_v);
     return Status::OK();
   }
-  if (!(req->epsilon > 0.0) || req->epsilon > 1.0) {
-    return Status::InvalidArgument("epsilon must be in (0, 1]");
+  // Every estimator's sample bound needs ε < 1 (an ε of 1 or more is
+  // vacuous for values in [0, 1]), so one open range serves all six.
+  if (!(req->epsilon > 0.0) || req->epsilon >= 1.0) {
+    return Status::InvalidArgument("epsilon must be in (0, 1)");
   }
   if (!(req->delta > 0.0) || req->delta >= 1.0) {
     return Status::InvalidArgument("delta must be in (0, 1)");
@@ -305,43 +303,6 @@ Status ParseQueryRequest(const std::string& line, QueryRequest* out) {
                                    "\" requires \"op\":\"update\"");
   }
   return Status::OK();
-}
-
-std::string SerializeQueryRequest(const QueryRequest& req) {
-  // Statistical parameters are emitted unconditionally so two canonical
-  // requests serialize to equal strings exactly when their cache keys are
-  // equal; id/graph are routing-only and appear only when set. Execution
-  // parameters (threads, traversal) are deliberately absent: a worker
-  // replaying stripes picks its own, and the determinism contract makes
-  // them inert anyway.
-  std::string out = "{";
-  if (!req.id.empty()) out += "\"id\":" + JsonQuote(req.id) + ",";
-  if (!req.graph.empty()) out += "\"graph\":" + JsonQuote(req.graph) + ",";
-  if (req.op == RequestOp::kUpdate) {
-    out += "\"op\":\"update\",\"action\":\"";
-    out += req.action == EdgeMutationKind::kInsert ? "insert" : "delete";
-    out += "\",\"edge\":[" + std::to_string(req.edge_u) + "," +
-           std::to_string(req.edge_v) + "]}";
-    return out;
-  }
-  out += "\"estimator\":\"";
-  out += EstimatorKindName(req.estimator);
-  out += "\",\"epsilon\":" + JsonNumber(req.epsilon);
-  out += ",\"delta\":" + JsonNumber(req.delta);
-  out += ",\"seed\":" + std::to_string(req.seed);
-  out += ",\"topk\":" + std::to_string(req.top_k);
-  out += ",\"k\":" + std::to_string(req.k);
-  out += ",\"strategy\":\"";
-  out += req.strategy == SamplingStrategy::kUnidirectional ? "unidirectional"
-                                                           : "bidirectional";
-  out += "\",\"deadline_ms\":" + std::to_string(req.deadline_ms);
-  out += ",\"targets\":[";
-  for (size_t i = 0; i < req.targets.size(); ++i) {
-    if (i != 0) out.push_back(',');
-    out += std::to_string(req.targets[i]);
-  }
-  out += "]}";
-  return out;
 }
 
 std::string SerializeQueryResult(const QueryResult& res) {

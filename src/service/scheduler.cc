@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "service/shard.h"
 #include "util/failpoint.h"
 #include "util/timer.h"
 
@@ -109,16 +108,7 @@ QueryResult BatchScheduler::RunUpdate(QuerySession* session,
   if (st.ok()) {
     const EdgeMutation mut{canonical.action, canonical.edge_u,
                            canonical.edge_v};
-    // One critical section covers the local apply AND the worker
-    // broadcast: concurrent updates (even to different graphs) must reach
-    // every worker in the order their epochs chained, or a restarted
-    // worker's replayed fingerprints would diverge from the live ones.
-    std::lock_guard<std::mutex> lock(update_mu_);
     st = session->ApplyUpdate(mut, &outcome);
-    if (st.ok() && options_.supervisor != nullptr) {
-      options_.supervisor->BroadcastUpdate(canonical.graph, mut,
-                                           outcome.fingerprint);
-    }
   }
   res.seconds = timer.ElapsedSeconds();
   res.status = st;
@@ -278,21 +268,7 @@ QueryResult BatchScheduler::Run(const QueryRequest& request) {
     // the estimator (e.g. bad_alloc) that left it pending would wedge
     // every future request with this key in the dedup wait.
     try {
-      if (options_.supervisor != nullptr) {
-        // The worker keys its engine state by (graph, statistical query):
-        // id and graph are routing fields, not statistical parameters, so
-        // they are stripped from the wire encoding — two clients asking
-        // the same question share one replayable state.
-        QueryRequest wire = canonical;
-        wire.id.clear();
-        wire.graph.clear();
-        ShardedQuery shard(options_.supervisor, canonical.graph,
-                           snap->fingerprint(), SerializeQueryRequest(wire),
-                           &token);
-        res = session->RunCanonical(*snap, canonical, &token, &shard);
-      } else {
-        res = session->RunCanonical(*snap, canonical, &token);
-      }
+      res = session->RunCanonical(*snap, canonical, &token);
     } catch (const std::exception& e) {
       res.status = Status::Internal(std::string("query execution failed: ") +
                                     e.what());

@@ -37,14 +37,6 @@ bool CancelToken::CanExpire() const {
          polls_left_.load(std::memory_order_acquire) >= 0;
 }
 
-Deadline CancelToken::EffectiveDeadline() const {
-  int64_t ns = deadline_ns_.load(std::memory_order_acquire);
-  if (parent_ != nullptr) {
-    ns = std::min(ns, parent_->EffectiveDeadline().steady_nanos());
-  }
-  return Deadline::AtSteadyNanos(ns);
-}
-
 StatusCode CancelToken::Check() const {
   if (parent_ != nullptr) {
     const StatusCode pc = parent_->Check();

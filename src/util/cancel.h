@@ -43,8 +43,6 @@ class Deadline {
   static Deadline Never() { return Deadline(); }
   /// Expires `ms` milliseconds from now (clamped to ≥ 0).
   static Deadline AfterMillis(uint64_t ms);
-  /// Expires at the given raw steady-clock nanosecond count.
-  static Deadline AtSteadyNanos(int64_t ns) { return Deadline(ns); }
 
   bool unbounded() const { return when_ns_ == kNeverNs; }
   bool expired() const { return !unbounded() && NowNanos() >= when_ns_; }
@@ -98,12 +96,6 @@ class CancelToken {
   /// True if a deadline, poll budget, parent or pending cancel could ever
   /// make Check() non-OK — i.e. the run should poll at a fine granularity.
   bool CanExpire() const;
-
-  /// Earliest armed deadline along the parent chain (`Never()` when no
-  /// deadline is armed anywhere). The sharded serving tier stamps each
-  /// worker RPC with this, so a per-query latency budget propagates across
-  /// the process boundary instead of stopping at the coordinator.
-  Deadline EffectiveDeadline() const;
 
   /// Non-counting read of the current state.
   StatusCode Check() const;

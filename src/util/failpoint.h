@@ -14,12 +14,6 @@
 ///   - "scheduler.admit"  at BatchScheduler admission (may return Status)
 ///   - "sgr.load"         at the head of LoadSgr (may return Status)
 ///   - "sgr.write"        mid-payload in WriteSgr (may return Status)
-///   - "net.connect"      in net::Connect (may return Status)
-///   - "net.send"         in net::SendFrame (may return Status)
-///   - "net.recv"         in net::RecvFrame (may return Status)
-///   - "worker.wave"      in the shard worker's wave handler; a throw
-///                        simulates a mid-wave crash (no reply, the
-///                        connection drops)
 ///
 /// Activation, in priority order:
 ///   1. Programmatic: `fail::Inject("sampler.wave", "1*throw")` from a

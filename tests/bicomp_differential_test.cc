@@ -1,12 +1,13 @@
-// Differential-oracle harness for the parallel biconnectivity pass: every
-// generated graph runs the serial Hopcroft–Tarjan oracle and the parallel
-// Tarjan–Vishkin pass at {1, 2, 8} logical threads, asserting canonical
-// equivalence (same articulation points, same edge partition) AND bitwise
-// field equality (the `.sgr` invariance contract), stable across repeated
-// runs. Deep path/comb graphs pin the no-recursion guarantee, and the
-// end-to-end section checks that `.sgr` bytes are identical whichever pass
-// produced the decomposition.
+// Differential-oracle harness for the biconnected decomposition: every
+// generated graph runs the iterative Hopcroft–Tarjan pass and the
+// independent recursive reference (ReferenceBcc, tests/test_util.h),
+// asserting canonical equivalence (same articulation points, same edge
+// partition), and a rerun asserts bitwise field equality (the `.sgr`
+// invariance contract). Deep path/comb graphs pin the no-recursion
+// guarantee, and the end-to-end section checks that `.sgr` bytes are
+// reproducible and survive a reload.
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -29,14 +30,11 @@
 namespace saphyra {
 namespace {
 
-using testing::AllBccVariants;
-using testing::BccVariant;
-using testing::BccVariantName;
 using testing::CanonicalBcc;
 using testing::Canonicalize;
-using testing::ComputeBccVariant;
 using testing::ExpectBccBitwiseEqual;
 using testing::MakeGraph;
+using testing::ReferenceBcc;
 
 // --- graph families ---------------------------------------------------------
 
@@ -84,7 +82,7 @@ Graph CombGraph(NodeId spine) {
 }
 
 /// Several Erdős–Rényi blocks on disjoint id ranges plus trailing isolated
-/// nodes: multi-component graphs exercise the spanning-forest path.
+/// nodes: multi-component graphs exercise the per-root DFS restarts.
 Graph DisconnectedBlocks(uint64_t seed) {
   Rng rng(seed);
   std::vector<std::pair<NodeId, NodeId>> edges;
@@ -194,64 +192,56 @@ std::vector<Case> GeneratorSweep() {
   return cases;
 }
 
-TEST(BicompDifferential, ParallelMatchesSerialOracleAcrossGeneratorSweep) {
+/// The reference implementation's decomposition in canonical form.
+CanonicalBcc CanonicalReference(const Graph& g) {
+  ReferenceBcc ref(g);
+  CanonicalBcc out;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (ref.is_cutpoint(v)) out.cutpoints.push_back(v);
+  }
+  out.components.resize(ref.num_groups());
+  for (const auto& [edge, group] : ref.edge_group()) {
+    out.components[group].push_back(edge);
+  }
+  for (auto& edges : out.components) std::sort(edges.begin(), edges.end());
+  std::sort(out.components.begin(), out.components.end());
+  return out;
+}
+
+TEST(BicompDifferential, MatchesReferenceOracleAcrossGeneratorSweep) {
   std::vector<Case> cases = GeneratorSweep();
   // The acceptance bar: at least 200 generated instances.
   ASSERT_GE(cases.size(), 200u);
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    const BiconnectedComponents serial =
-        ComputeBiconnectedComponents(c.graph);
-    const CanonicalBcc canon = Canonicalize(c.graph, serial);
-    for (uint32_t threads : {1u, 2u, 8u}) {
-      const std::string what = c.name + " threads=" + std::to_string(threads);
-      BiconnectedComponents par =
-          ComputeBiconnectedComponentsParallel(c.graph, threads);
-      EXPECT_EQ(Canonicalize(c.graph, par), canon) << what;
-      ExpectBccBitwiseEqual(serial, par, what);
-      // Repeated runs are bitwise stable (no interleaving leaks through).
-      BiconnectedComponents rerun =
-          ComputeBiconnectedComponentsParallel(c.graph, threads);
-      ExpectBccBitwiseEqual(par, rerun, what + " rerun");
-    }
+    const BiconnectedComponents bcc = ComputeBiconnectedComponents(c.graph);
+    EXPECT_EQ(Canonicalize(c.graph, bcc), CanonicalReference(c.graph));
+    // Repeated runs are bitwise stable.
+    ExpectBccBitwiseEqual(bcc, ComputeBiconnectedComponents(c.graph),
+                          c.name + " rerun");
   }
 }
 
 // --- deep-graph stress -------------------------------------------------------
 
-TEST(BicompDifferential, MillionDeepPathRunsParallelWithoutRecursion) {
+TEST(BicompDifferential, MillionDeepPathRunsWithoutRecursion) {
   const NodeId n = 1000000;
   Graph g = PathGraph(n);
-  BiconnectedComponents par = ComputeBiconnectedComponentsParallel(g, 8);
-  EXPECT_EQ(par.num_components, n - 1);  // every edge a bridge
-  EXPECT_FALSE(par.is_cutpoint[0]);
-  EXPECT_TRUE(par.is_cutpoint[1]);
-  EXPECT_TRUE(par.is_cutpoint[n / 2]);
-  EXPECT_FALSE(par.is_cutpoint[n - 1]);
-  // The serial pass stays the oracle even here (its DFS stack lives on the
-  // heap) — and its output matches the parallel pass bitwise.
-  BiconnectedComponents serial = ComputeBiconnectedComponents(g);
-  ExpectBccBitwiseEqual(serial, par, "path_1m");
+  BiconnectedComponents bcc = ComputeBiconnectedComponents(g);
+  EXPECT_EQ(bcc.num_components, n - 1);  // every edge a bridge
+  EXPECT_FALSE(bcc.is_cutpoint[0]);
+  EXPECT_TRUE(bcc.is_cutpoint[1]);
+  EXPECT_TRUE(bcc.is_cutpoint[n / 2]);
+  EXPECT_FALSE(bcc.is_cutpoint[n - 1]);
 }
 
-TEST(BicompDifferential, MillionDeepCombRunsParallelWithoutRecursion) {
+TEST(BicompDifferential, MillionDeepCombRunsWithoutRecursion) {
   const NodeId spine = 1000000;
   Graph g = CombGraph(spine);  // DFS tree is >= 1M levels deep
-  BiconnectedComponents par = ComputeBiconnectedComponentsParallel(g, 8);
-  EXPECT_EQ(par.num_components, g.num_edges());  // all bridges
-  EXPECT_TRUE(par.is_cutpoint[spine / 2]);       // interior spine node
-  EXPECT_FALSE(par.is_cutpoint[spine + 5]);      // a tooth tip
-  BiconnectedComponents serial = ComputeBiconnectedComponents(g);
-  ExpectBccBitwiseEqual(serial, par, "comb_1m");
-}
-
-TEST(BicompDifferential, BoundedVariantStillGuardsTheSerialPath) {
-  Graph g = PathGraph(200000);
-  BiconnectedComponents out;
-  Status st = ComputeBiconnectedComponentsBounded(g, 100000, &out);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(st.message().find("graph too deep"), std::string::npos);
+  BiconnectedComponents bcc = ComputeBiconnectedComponents(g);
+  EXPECT_EQ(bcc.num_components, g.num_edges());  // all bridges
+  EXPECT_TRUE(bcc.is_cutpoint[spine / 2]);       // interior spine node
+  EXPECT_FALSE(bcc.is_cutpoint[spine + 5]);      // a tooth tip
 }
 
 // --- end-to-end `.sgr` invariance -------------------------------------------
@@ -264,42 +254,37 @@ std::string ReadFileBytes(const std::string& path) {
   return ss.str();
 }
 
-TEST(BicompDifferential, SgrBytesIdenticalAcrossThreadCounts) {
+TEST(BicompDifferential, SgrBytesIdenticalAcrossRebuilds) {
   Graph g = RoadGrid(20, 15, 0.8, 4242).graph;
-
-  IspOptions serial_opts;
-  serial_opts.bicomp_threads = 1;
-  IspIndex serial(g, serial_opts);
-  IspOptions par_opts;
-  par_opts.bicomp_threads = 8;
-  IspIndex parallel(g, par_opts);
+  IspIndex first(g);
+  IspIndex second(g);
 
   const std::string dir = ::testing::TempDir();
-  const std::string serial_path = dir + "/bicomp_serial.sgr";
-  const std::string par_path = dir + "/bicomp_parallel.sgr";
+  const std::string first_path = dir + "/bicomp_first.sgr";
+  const std::string second_path = dir + "/bicomp_second.sgr";
   SgrWriteOptions wopts;
-  ASSERT_TRUE(WriteSgr(serial_path, g, &serial.bcc(), &serial.conn(),
-                       &serial.views(), &serial.tree(), wopts)
+  ASSERT_TRUE(WriteSgr(first_path, g, &first.bcc(), &first.conn(),
+                       &first.views(), &first.tree(), wopts)
                   .ok());
-  ASSERT_TRUE(WriteSgr(par_path, g, &parallel.bcc(), &parallel.conn(),
-                       &parallel.views(), &parallel.tree(), wopts)
+  ASSERT_TRUE(WriteSgr(second_path, g, &second.bcc(), &second.conn(),
+                       &second.views(), &second.tree(), wopts)
                   .ok());
-  const std::string serial_bytes = ReadFileBytes(serial_path);
-  const std::string par_bytes = ReadFileBytes(par_path);
-  ASSERT_FALSE(serial_bytes.empty());
+  const std::string first_bytes = ReadFileBytes(first_path);
+  const std::string second_bytes = ReadFileBytes(second_path);
+  ASSERT_FALSE(first_bytes.empty());
   // Bitwise identity of the whole file — header fingerprint included.
-  EXPECT_TRUE(serial_bytes == par_bytes)
-      << "`.sgr` bytes differ between --bicomp-threads 1 and 8";
-  std::remove(serial_path.c_str());
-  std::remove(par_path.c_str());
+  EXPECT_TRUE(first_bytes == second_bytes)
+      << "`.sgr` bytes differ between two builds of one graph";
+  std::remove(first_path.c_str());
+  std::remove(second_path.c_str());
 }
 
 TEST(BicompDifferential, DeepGraphSurvivesTheFullSgrPipeline) {
-  // End-to-end on a 100k-deep path: decomposition (parallel), block-cut
-  // tree, views, serialization, reload. The 1M-scale binary smoke lives in
-  // CI where graph_convert runs for real.
+  // End-to-end on a 100k-deep path: decomposition, block-cut tree, views,
+  // serialization, reload. The 1M-scale binary smoke lives in CI where
+  // graph_convert runs for real.
   Graph g = PathGraph(100000);
-  IspIndex isp(g);  // default options: parallel pass
+  IspIndex isp(g);
   EXPECT_EQ(isp.num_components(), g.num_edges());
   const std::string path = ::testing::TempDir() + "/bicomp_deep.sgr";
   SgrWriteOptions wopts;
@@ -314,19 +299,14 @@ TEST(BicompDifferential, DeepGraphSurvivesTheFullSgrPipeline) {
   std::remove(path.c_str());
 }
 
-// The variant table of biconnected_test.cc covers hand graphs; this is the
-// generated-graph analog pinning that all four variants canonicalize to the
-// same structure on a few larger instances.
-TEST(BicompDifferential, AllVariantsAgreeOnLargerInstances) {
+// The generator sweep stays small enough for the recursive reference; this
+// pins a few larger, denser instances against it too.
+TEST(BicompDifferential, MatchesReferenceOnLargerInstances) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     Graph g = BarabasiAlbert(400, 3, seed * 101);
     SCOPED_TRACE("ba400 seed " + std::to_string(seed));
-    CanonicalBcc expect =
-        Canonicalize(g, ComputeBccVariant(g, BccVariant::kSerial));
-    for (BccVariant v : AllBccVariants()) {
-      EXPECT_EQ(Canonicalize(g, ComputeBccVariant(g, v)), expect)
-          << BccVariantName(v);
-    }
+    EXPECT_EQ(Canonicalize(g, ComputeBiconnectedComponents(g)),
+              CanonicalReference(g));
   }
 }
 

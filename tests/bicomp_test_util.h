@@ -1,9 +1,8 @@
 #ifndef SAPHYRA_TESTS_BICOMP_TEST_UTIL_H_
 #define SAPHYRA_TESTS_BICOMP_TEST_UTIL_H_
 
-// Shared canonicalizer for biconnected decompositions, used by
-// biconnected_test.cc and bicomp_differential_test.cc to run the serial,
-// bounded, and parallel passes over one table of expectations.
+// Shared comparison helpers for biconnected decompositions: a
+// labeling-independent canonical form and a field-by-field bitwise check.
 
 #include <algorithm>
 #include <string>
@@ -57,47 +56,6 @@ inline CanonicalBcc Canonicalize(const Graph& g,
   std::sort(by_label.begin(), by_label.end());
   out.components = std::move(by_label);
   return out;
-}
-
-/// The three production variants of the decomposition. The bounded variant
-/// runs with an effectively-unlimited cap; its depth-guard behavior has its
-/// own tests.
-enum class BccVariant { kSerial, kBounded, kParallel2, kParallel8 };
-
-inline const char* BccVariantName(BccVariant v) {
-  switch (v) {
-    case BccVariant::kSerial: return "serial";
-    case BccVariant::kBounded: return "bounded";
-    case BccVariant::kParallel2: return "parallel2";
-    case BccVariant::kParallel8: return "parallel8";
-  }
-  return "?";
-}
-
-inline BiconnectedComponents ComputeBccVariant(const Graph& g, BccVariant v) {
-  switch (v) {
-    case BccVariant::kSerial:
-      return ComputeBiconnectedComponents(g);
-    case BccVariant::kBounded: {
-      BiconnectedComponents out;
-      Status st = ComputeBiconnectedComponentsBounded(g, 0, &out);
-      SAPHYRA_CHECK_MSG(st.ok(), st.ToString().c_str());
-      return out;
-    }
-    case BccVariant::kParallel2:
-      return ComputeBiconnectedComponentsParallel(g, 2);
-    case BccVariant::kParallel8:
-      return ComputeBiconnectedComponentsParallel(g, 8);
-  }
-  SAPHYRA_CHECK(false);
-  return {};
-}
-
-inline const std::vector<BccVariant>& AllBccVariants() {
-  static const std::vector<BccVariant> kAll = {
-      BccVariant::kSerial, BccVariant::kBounded, BccVariant::kParallel2,
-      BccVariant::kParallel8};
-  return kAll;
 }
 
 /// Every field equal — the bitwise contract behind `.sgr` invariance, not

@@ -1,6 +1,5 @@
 // Incremental bicomp repair: every mutation's repaired decomposition must
-// be BITWISE identical to a from-scratch serial pass on the mutated graph
-// (and therefore to the parallel pass, by the canonicalization contract).
+// be BITWISE identical to a from-scratch pass on the mutated graph.
 // Directed cases pin each routing branch — same-block insert, path-merge
 // insert across cutpoints, bridge insert across components, isolated
 // endpoints, block-splitting delete, bridge delete — and random mutation
@@ -58,8 +57,7 @@ Applied ApplyAndCheck(const Graph& g, const BiconnectedComponents& bcc,
   return out;
 }
 
-const IncrementalBicompOptions kNeverFallBack{/*max_dirty_fraction=*/1.0,
-                                              /*fallback_threads=*/1};
+const IncrementalBicompOptions kNeverFallBack{/*max_dirty_fraction=*/1.0};
 
 TEST(IncrementalBicompTest, DirectedCasesOnThePaperGraph) {
   // Fig. 2: pentagon {a,b,c,d,e}, triangles {c,g,h} and {i,j,k}, bridges
@@ -141,10 +139,9 @@ TEST(IncrementalBicompTest, IsolatedEndpointsAndTinyGraphs) {
 TEST(IncrementalBicompTest, FallbackRouteIsBitwiseInvisible) {
   Graph g = WattsStrogatz(60, 4, 0.1, 31);
   BiconnectedComponents bcc = ComputeBiconnectedComponents(g);
-  // max_dirty_fraction = 0 forces the parallel-pass fallback on every
+  // max_dirty_fraction = 0 forces the full-pass fallback on every
   // mutation; the output must not change.
-  IncrementalBicompOptions always_fall{/*max_dirty_fraction=*/0.0,
-                                       /*fallback_threads=*/8};
+  IncrementalBicompOptions always_fall{/*max_dirty_fraction=*/0.0};
   IncrementalBicompStats stats;
   ApplyAndCheck(g, bcc, EdgeMutationKind::kInsert, 0, 30, always_fall,
                 "forced fallback", &stats);

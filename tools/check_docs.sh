@@ -72,23 +72,6 @@ else
   done
 fi
 
-# --- 4b. the parallel-bicomp contract stays wired ---------------------------
-# graph_convert must keep parsing --bicomp-threads (the serial-oracle
-# escape hatch) and the preprocess_parallel_speedup metric must stay
-# documented next to its hardware caveat.
-if ! grep -qF -- '"--bicomp-threads"' "$REPO_ROOT/tools/graph_convert.cc"; then
-  echo "check_docs: tools/graph_convert.cc no longer parses --bicomp-threads" >&2
-  fail=1
-fi
-if ! grep -qF -- "--bicomp-threads" "$cli_doc"; then
-  echo "check_docs: docs/cli.md no longer documents --bicomp-threads" >&2
-  fail=1
-fi
-if ! grep -qF "preprocess_parallel_speedup" "$REPO_ROOT/docs/benchmarks.md"; then
-  echo "check_docs: docs/benchmarks.md no longer documents preprocess_parallel_speedup" >&2
-  fail=1
-fi
-
 # --- 5. every BENCH_micro.json key is documented somewhere -----------------
 bench_json="$REPO_ROOT/BENCH_micro.json"
 doc_files=("$REPO_ROOT/README.md" "$REPO_ROOT/DESIGN.md" "$REPO_ROOT"/docs/*.md)
@@ -142,23 +125,6 @@ else
     echo "check_docs: docs/serving.md lost the 'Multi-graph tenancy' section" >&2
     fail=1
   fi
-  # The sharded-tier flags carry the same parsed-AND-documented contract,
-  # and the section explaining the stripe/bitwise-identity argument and
-  # the failure matrix must survive.
-  for flag in --workers --shard-socket --retry-budget --heartbeat-ms; do
-    if ! grep -qF -- "\"$flag\"" "$REPO_ROOT/tools/saphyra_serve.cc"; then
-      echo "check_docs: tools/saphyra_serve.cc no longer parses $flag" >&2
-      fail=1
-    fi
-    if ! grep -qF -- "$flag" "$serving_doc"; then
-      echo "check_docs: docs/serving.md no longer documents $flag" >&2
-      fail=1
-    fi
-  done
-  if ! grep -qF "Sharded serving" "$serving_doc"; then
-    echo "check_docs: docs/serving.md lost the 'Sharded serving' section" >&2
-    fail=1
-  fi
   # Dynamic graphs: the mutation flags must stay parsed AND explained in
   # serving.md, the section itself must survive, and the update wire
   # fields must stay documented (clients build requests from this page).
@@ -183,7 +149,7 @@ else
     fi
   done
   for code in INVALID_ARGUMENT DEADLINE_EXCEEDED RESOURCE_EXHAUSTED \
-              CANCELLED INTERNAL UNAVAILABLE; do
+              CANCELLED INTERNAL; do
     if ! grep -qF "\"$code\"" "$REPO_ROOT/src/util/status.cc"; then
       echo "check_docs: src/util/status.cc no longer emits wire code $code" >&2
       fail=1

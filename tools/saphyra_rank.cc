@@ -30,6 +30,10 @@
 // identical for a fixed seed whichever policy runs (ABRA keeps its own
 // truncated traversal and ignores the flag).
 //
+// Numeric flag values are checked (tools/flag_parse.h), and --epsilon and
+// --delta must lie in (0, 1) as in the serving layer: a malformed or
+// out-of-range value is a usage error (exit 2).
+//
 // The targets file holds one node id per line ('#' comments allowed).
 // Output: "<rank>\t<node>\t<estimate>" sorted by rank; diagnostics go to
 // stderr.
@@ -47,6 +51,7 @@
 #include "baselines/abra.h"
 #include "baselines/kadabra.h"
 #include "bc/saphyra_bc.h"
+#include "flag_parse.h"
 #include "graph/binary_io.h"
 #include "graph/frontier.h"
 #include "graph/connectivity.h"
@@ -95,6 +100,9 @@ bool Parse(int argc, char** argv, Args* args) {
       return argv[++i];
     };
     const char* val = nullptr;
+    auto number = [&](auto* dst) {
+      return ParseFlagValue(key.c_str(), val, dst);
+    };
     if (key == "--lcc") {
       args->lcc = true;
     } else if (key == "--no-cache") {
@@ -106,17 +114,17 @@ bool Parse(int argc, char** argv, Args* args) {
     } else if (key == "--targets" && (val = next())) {
       args->targets_path = val;
     } else if (key == "--random-targets" && (val = next())) {
-      args->random_targets = std::strtoull(val, nullptr, 10);
+      if (!number(&args->random_targets)) return false;
     } else if (key == "--algorithm" && (val = next())) {
       args->algorithm = val;
     } else if (key == "--epsilon" && (val = next())) {
-      args->epsilon = std::atof(val);
+      if (!number(&args->epsilon)) return false;
     } else if (key == "--delta" && (val = next())) {
-      args->delta = std::atof(val);
+      if (!number(&args->delta)) return false;
     } else if (key == "--topk" && (val = next())) {
-      args->topk = std::strtoull(val, nullptr, 10);
+      if (!number(&args->topk)) return false;
     } else if (key == "--seed" && (val = next())) {
-      args->seed = std::strtoull(val, nullptr, 10);
+      if (!number(&args->seed)) return false;
     } else if (key == "--strategy" && (val = next())) {
       if (!ParseTraversalPolicy(val, &args->traversal)) {
         std::fprintf(stderr, "unknown --strategy %s\n", val);
@@ -131,6 +139,16 @@ bool Parse(int argc, char** argv, Args* args) {
   }
   if (args->graph_path.empty()) {
     std::fprintf(stderr, "--graph is required\n");
+    return false;
+  }
+  // Every algorithm's sample bound needs both in the open unit interval.
+  if (!(args->epsilon > 0.0 && args->epsilon < 1.0)) {
+    std::fprintf(stderr, "--epsilon must be in (0, 1), got %g\n",
+                 args->epsilon);
+    return false;
+  }
+  if (!(args->delta > 0.0 && args->delta < 1.0)) {
+    std::fprintf(stderr, "--delta must be in (0, 1), got %g\n", args->delta);
     return false;
   }
   if (!args->targets_path.empty() && args->random_targets > 0) {

@@ -32,15 +32,6 @@
 //                 [--max-queue Q]        (shed beyond Q queued; 0 = unbounded)
 //                 [--drain-ms D]         (drain window after SIGINT/SIGTERM,
 //                                         default 2000)
-//                 [--workers N]          (sharded tier: N worker processes,
-//                                         0 = sample locally, default)
-//                 [--shard-socket SPEC]  (worker rendezvous endpoint,
-//                                         unix:/path or tcp:host:port;
-//                                         default unix:/tmp/saphyra_shard_<pid>)
-//                 [--retry-budget R]     (failed wave rounds tolerated before
-//                                         a query degrades, default 2)
-//                 [--heartbeat-ms H]     (worker health-check period,
-//                                         0 = off, default 1000)
 //                 [--allow-updates]      (accept {"op":"update"} mutation
 //                                         requests; off = FAILED_PRECONDITION)
 //                 [--compact-threshold C] (overlay edges before compacting
@@ -72,12 +63,8 @@
 // next wave), no further repeat pass starts, and the process exits with
 // the normal summary. A second signal hard-cancels immediately.
 //
-// Sharded tier (--workers N, docs/serving.md "Sharded serving"): sample
-// waves are partitioned over N supervised saphyra_worker processes by
-// RNG stripe and merged by integer sum — bitwise identical to local
-// sampling at any N. Worker crashes are retried with stripe reassignment
-// and backoff restarts; past --retry-budget failed rounds a query
-// answers degraded ("degrade_reason":"shard_lost"), never an error.
+// Numeric flag values are checked (tools/flag_parse.h): a malformed or
+// out-of-range value is a usage error (exit 2), never a silent default.
 //
 // A client that closes the output pipe mid-stream (e.g. `| head`) does
 // not kill the server: SIGPIPE is ignored, the write failure is
@@ -85,13 +72,10 @@
 // unaffected ("output_closed":true in --stats-json).
 
 #include <signal.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -100,13 +84,12 @@
 #include <utility>
 #include <vector>
 
-#include "net/socket.h"
+#include "flag_parse.h"
 #include "service/json_util.h"
 #include "service/query.h"
 #include "service/scheduler.h"
 #include "service/session.h"
 #include "service/session_pool.h"
-#include "service/shard.h"
 #include "util/cancel.h"
 #include "util/timer.h"
 
@@ -130,10 +113,6 @@ struct Args {
   uint64_t default_deadline_ms = 0;
   size_t max_queue = 0;
   uint64_t drain_ms = 2000;
-  uint32_t workers = 0;
-  std::string shard_socket;
-  uint32_t retry_budget = 2;
-  uint64_t heartbeat_ms = 1000;
   bool allow_updates = false;
   uint64_t compact_threshold = 4096;
   bool no_cache = false;
@@ -189,8 +168,7 @@ void Usage(const char* argv0) {
       "          [--requests FILE] [--concurrency N] [--threads T]\n"
       "          [--memo-capacity M] [--memo-capacity-bytes B] [--repeat R]\n"
       "          [--default-deadline-ms D] [--max-queue Q] [--drain-ms D]\n"
-      "          [--workers N] [--shard-socket SPEC] [--retry-budget R]\n"
-      "          [--heartbeat-ms H] [--allow-updates] [--compact-threshold C]\n"
+      "          [--allow-updates] [--compact-threshold C]\n"
       "          [--no-cache] [--output FILE] [--stats-json FILE]\n",
       argv0);
 }
@@ -203,6 +181,9 @@ bool Parse(int argc, char** argv, Args* args) {
       return argv[++i];
     };
     const char* val = nullptr;
+    auto number = [&](auto* dst) {
+      return ParseFlagValue(key.c_str(), val, dst);
+    };
     if (key == "--no-cache") {
       args->no_cache = true;
     } else if (key == "--preload") {
@@ -210,7 +191,7 @@ bool Parse(int argc, char** argv, Args* args) {
     } else if (key == "--allow-updates") {
       args->allow_updates = true;
     } else if (key == "--compact-threshold" && (val = next())) {
-      args->compact_threshold = std::strtoull(val, nullptr, 10);
+      if (!number(&args->compact_threshold)) return false;
     } else if (key == "--graph" && (val = next())) {
       // NAME=PATH, or a bare PATH registered under its own spelling (the
       // single-graph invocation everyone already has in scripts).
@@ -224,33 +205,25 @@ bool Parse(int argc, char** argv, Args* args) {
     } else if (key == "--format" && (val = next())) {
       args->format = val;
     } else if (key == "--max-graphs" && (val = next())) {
-      args->max_graphs = std::strtoull(val, nullptr, 10);
+      if (!number(&args->max_graphs)) return false;
     } else if (key == "--requests" && (val = next())) {
       args->requests_path = val;
     } else if (key == "--concurrency" && (val = next())) {
-      args->concurrency = static_cast<uint32_t>(std::strtoul(val, nullptr, 10));
+      if (!number(&args->concurrency)) return false;
     } else if (key == "--threads" && (val = next())) {
-      args->threads = static_cast<uint32_t>(std::strtoul(val, nullptr, 10));
+      if (!number(&args->threads)) return false;
     } else if (key == "--memo-capacity" && (val = next())) {
-      args->memo_capacity = std::strtoull(val, nullptr, 10);
+      if (!number(&args->memo_capacity)) return false;
     } else if (key == "--memo-capacity-bytes" && (val = next())) {
-      args->memo_capacity_bytes = std::strtoull(val, nullptr, 10);
+      if (!number(&args->memo_capacity_bytes)) return false;
     } else if (key == "--repeat" && (val = next())) {
-      args->repeat = static_cast<uint32_t>(std::strtoul(val, nullptr, 10));
+      if (!number(&args->repeat)) return false;
     } else if (key == "--default-deadline-ms" && (val = next())) {
-      args->default_deadline_ms = std::strtoull(val, nullptr, 10);
+      if (!number(&args->default_deadline_ms)) return false;
     } else if (key == "--max-queue" && (val = next())) {
-      args->max_queue = std::strtoull(val, nullptr, 10);
+      if (!number(&args->max_queue)) return false;
     } else if (key == "--drain-ms" && (val = next())) {
-      args->drain_ms = std::strtoull(val, nullptr, 10);
-    } else if (key == "--workers" && (val = next())) {
-      args->workers = static_cast<uint32_t>(std::strtoul(val, nullptr, 10));
-    } else if (key == "--shard-socket" && (val = next())) {
-      args->shard_socket = val;
-    } else if (key == "--retry-budget" && (val = next())) {
-      args->retry_budget = static_cast<uint32_t>(std::strtoul(val, nullptr, 10));
-    } else if (key == "--heartbeat-ms" && (val = next())) {
-      args->heartbeat_ms = std::strtoull(val, nullptr, 10);
+      if (!number(&args->drain_ms)) return false;
     } else if (key == "--output" && (val = next())) {
       args->output = val;
     } else if (key == "--stats-json" && (val = next())) {
@@ -382,65 +355,6 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "requests: %zu parsed, %zu invalid\n", requests.size(),
                parse_errors.size());
 
-  // --- sharded tier (optional) ------------------------------------------
-  // Declared before the scheduler (which borrows the supervisor) and after
-  // the pool (whose graphs the workers mirror), so destruction order tears
-  // the tier down while both neighbors are alive.
-  net::Endpoint shard_ep;
-  net::UniqueFd shard_listen;
-  std::unique_ptr<ProcessWorkerLauncher> launcher;
-  std::unique_ptr<WorkerSupervisor> supervisor;
-  if (args.workers > 0) {
-    std::string spec = args.shard_socket;
-    if (spec.empty()) {
-      spec = "unix:/tmp/saphyra_shard_" + std::to_string(getpid()) + ".sock";
-    }
-    Status st = net::ParseEndpoint(spec, &shard_ep);
-    if (st.ok()) st = net::Listen(shard_ep, &shard_listen);
-    if (!st.ok()) {
-      std::fprintf(stderr, "cannot bind --shard-socket %s: %s\n", spec.c_str(),
-                   st.ToString().c_str());
-      return 1;
-    }
-    // Workers are siblings of this binary; forward the graph registrations
-    // and load options verbatim so their pools resolve identically.
-    ProcessWorkerLauncher::Options lopts;
-    const std::string self = argv[0];
-    const size_t slash = self.rfind('/');
-    lopts.worker_binary = (slash == std::string::npos
-                               ? std::string("./")
-                               : self.substr(0, slash + 1)) +
-                          "saphyra_worker";
-    lopts.endpoint = shard_ep;
-    lopts.listen_fd = shard_listen.get();
-    for (const auto& [name, path] : args.graphs) {
-      lopts.graph_args.push_back(name + "=" + path);
-    }
-    lopts.extra_args.push_back("--format");
-    lopts.extra_args.push_back(args.format);
-    lopts.extra_args.push_back("--max-graphs");
-    lopts.extra_args.push_back(std::to_string(args.max_graphs));
-    if (args.no_cache) lopts.extra_args.push_back("--no-cache");
-    lopts.extra_args.push_back("--compact-threshold");
-    lopts.extra_args.push_back(std::to_string(args.compact_threshold));
-    launcher = std::make_unique<ProcessWorkerLauncher>(std::move(lopts));
-
-    ShardOptions sopts;
-    sopts.num_workers = args.workers;
-    sopts.retry_budget = args.retry_budget;
-    sopts.heartbeat_ms = args.heartbeat_ms;
-    supervisor = std::make_unique<WorkerSupervisor>(launcher.get(), sopts);
-    st = supervisor->Start();
-    if (!st.ok()) {
-      std::fprintf(stderr, "cannot start worker tier: %s\n",
-                   st.ToString().c_str());
-      if (shard_ep.is_unix) unlink(shard_ep.path.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "shard tier: %u workers on %s\n", args.workers,
-                 spec.c_str());
-  }
-
   // --- serve -------------------------------------------------------------
   SchedulerOptions schopts;
   schopts.max_concurrent = args.concurrency;
@@ -448,7 +362,6 @@ int main(int argc, char** argv) {
   schopts.memo_capacity_bytes = args.memo_capacity_bytes;
   schopts.max_queue = args.max_queue;
   schopts.server_cancel = &ServerToken();
-  schopts.supervisor = supervisor.get();
   schopts.allow_updates = args.allow_updates;
   BatchScheduler scheduler(&pool, schopts);
 
@@ -539,24 +452,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(g.loads),
                  static_cast<unsigned long long>(g.evictions));
   }
-  std::vector<ShardWorkerStats> worker_stats;
-  uint64_t worker_restarts = 0;
-  if (supervisor != nullptr) {
-    worker_stats = supervisor->stats();
-    for (const ShardWorkerStats& w : worker_stats) {
-      worker_restarts += w.restarts;
-      std::fprintf(stderr,
-                   "worker %u: %s, %llu waves, %llu restarts, %llu retries, "
-                   "%llu stripes_reassigned, %llu heartbeat_misses\n",
-                   w.index, w.alive ? "alive" : "dead",
-                   static_cast<unsigned long long>(w.waves),
-                   static_cast<unsigned long long>(w.restarts),
-                   static_cast<unsigned long long>(w.retries),
-                   static_cast<unsigned long long>(w.stripes_reassigned),
-                   static_cast<unsigned long long>(w.heartbeat_misses));
-    }
-  }
-
   if (!args.stats_json.empty()) {
     std::ofstream sj(args.stats_json);
     if (!sj) {
@@ -574,7 +469,6 @@ int main(int argc, char** argv) {
        << ",\"memo_bytes\":" << stats.memo_bytes
        << ",\"drained\":" << (g_shutdown.load() ? "true" : "false")
        << ",\"output_closed\":" << (output_closed ? "true" : "false")
-       << ",\"worker_restarts\":" << worker_restarts
        << ",\"load_seconds\":" << load_seconds
        << ",\"serve_seconds\":" << serve_seconds
        << ",\"queries_per_second\":" << qps
@@ -592,25 +486,7 @@ int main(int argc, char** argv) {
          << ",\"loads\":" << g.loads
          << ",\"evictions\":" << g.evictions << '}';
     }
-    sj << "],\"workers\":[";
-    for (size_t i = 0; i < worker_stats.size(); ++i) {
-      const ShardWorkerStats& w = worker_stats[i];
-      if (i != 0) sj << ',';
-      sj << "{\"index\":" << w.index
-         << ",\"alive\":" << (w.alive ? "true" : "false")
-         << ",\"waves\":" << w.waves
-         << ",\"restarts\":" << w.restarts
-         << ",\"retries\":" << w.retries
-         << ",\"stripes_reassigned\":" << w.stripes_reassigned
-         << ",\"heartbeat_misses\":" << w.heartbeat_misses << '}';
-    }
     sj << "]}\n";
-  }
-  // The workers quit before their rendezvous path goes away; stale paths
-  // from a crashed run are unlinked by the next Listen anyway.
-  if (supervisor != nullptr) {
-    supervisor->Shutdown();
-    if (shard_ep.is_unix) unlink(shard_ep.path.c_str());
   }
   return any_error ? 3 : 0;
 }
