@@ -11,29 +11,9 @@
 namespace saphyra {
 
 /// \brief Options for the ABRA baseline (Riondato & Upfal, KDD'16 [47]).
-struct AbraOptions {
-  double epsilon = 0.05;
-  double delta = 0.01;
-  uint64_t seed = 1;
-  /// Constant of the fallback sample-size cap.
-  double vc_constant = 0.5;
-  /// Worker threads for pair sampling (execution only — results are
-  /// bitwise identical for a fixed seed regardless of the thread count;
-  /// see core/progressive_sampler.h).
-  uint32_t num_threads = 1;
-  /// 0 = Rademacher sup-norm ε mode; >0 = stop once the top-k node set is
-  /// separated by per-node empirical-Bernstein intervals. A top_k covering
-  /// every node (≥ num_nodes) is a full ranking in disguise and falls
-  /// back to ε mode.
-  uint64_t top_k = 0;
-  /// Samples per engine wave (0 = one wave per stopping check); batching
-  /// granularity only, never affects results.
-  uint64_t max_wave = 0;
-  /// Optional cooperative cancellation/deadline (see util/cancel.h): on
-  /// expiry the run returns completed-wave estimates tagged degraded.
-  /// Borrowed; must outlive the run.
-  const CancelToken* cancel = nullptr;
-};
+/// ε mode is the Rademacher sup-norm bound; top-k mode separates by
+/// per-node empirical-Bernstein intervals.
+struct AbraOptions : SamplingParams {};
 
 /// \brief Output of ABRA.
 struct AbraResult {

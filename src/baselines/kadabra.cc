@@ -85,18 +85,16 @@ KadabraResult RunKadabra(const Graph& g, const KadabraOptions& options) {
   const double eps = options.epsilon;
   const double vc = RiondatoVcBound(g);  // two BFS sweeps — compute once
   KadabraProblem problem(g, options.strategy, options.traversal, vc);
-  ProgressiveOptions schedule =
-      MakeVcCappedSchedule(eps, options.delta, vc, options.vc_constant,
-                           options.max_wave, options.num_threads);
+  // n0 = c/ε²·ln(2/δ); Nmax is Lemma 4's budget at the diameter-based
+  // VC bound.
+  const ProgressiveOptions schedule = MakeSchedule(
+      SaturatingSampleCount(kVcSampleConstant / (eps * eps) *
+                            std::log(2.0 / options.delta)),
+      VcSampleBound(eps, options.delta, vc), options);
   if (schedule.max_samples == kSaturatedSampleCount) {
     result.budget_saturated = true;
     result.seconds = timer.ElapsedSeconds();
     return result;
-  }
-  schedule.cancel = options.cancel;
-  if (options.cancel != nullptr && options.cancel->CanExpire() &&
-      schedule.max_wave == 0) {
-    schedule.max_wave = 1024;  // poll often enough for the deadline to bite
   }
 
   // The adaptive scheme of [12] with its union-bound bookkeeping

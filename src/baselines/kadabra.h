@@ -12,34 +12,10 @@
 namespace saphyra {
 
 /// \brief Options for the KADABRA baseline (Borassi & Natale, ESA'16 [12]).
-struct KadabraOptions {
-  double epsilon = 0.05;
-  double delta = 0.01;
-  uint64_t seed = 1;
-  double vc_constant = 0.5;
+struct KadabraOptions : SamplingParams {
   /// KADABRA's signature balanced bidirectional BFS; unidirectional kept
   /// for ablations.
   SamplingStrategy strategy = SamplingStrategy::kBidirectional;
-  /// BFS level-expansion policy (graph/frontier.h): kAuto/kHybrid use the
-  /// direction-optimizing kernel, kTopDown the classic push. Results are
-  /// bitwise identical either way.
-  TraversalPolicy traversal = TraversalPolicy::kAuto;
-  /// Worker threads for path sampling (execution only — results are
-  /// bitwise identical for a fixed seed regardless of the thread count;
-  /// see core/progressive_sampler.h).
-  uint32_t num_threads = 1;
-  /// 0 = guaranteed-ε mode; >0 = stop once the top-k node set is
-  /// separated by the per-node confidence intervals. A top_k covering
-  /// every node (≥ num_nodes) is a full ranking in disguise and falls
-  /// back to ε mode.
-  uint64_t top_k = 0;
-  /// Samples per engine wave (0 = one wave per stopping check); batching
-  /// granularity only, never affects results.
-  uint64_t max_wave = 0;
-  /// Optional cooperative cancellation/deadline (see util/cancel.h): on
-  /// expiry the run returns completed-wave estimates tagged degraded.
-  /// Borrowed; must outlive the run.
-  const CancelToken* cancel = nullptr;
 };
 
 /// \brief Output of KADABRA.

@@ -128,17 +128,9 @@ SaphyraBcResult RunSaphyraBc(const IspIndex& isp,
   // what makes personalization cheaper, smaller η ⇒ fewer samples.)
   const double eps_star = std::min(0.999, options.epsilon / ge);
 
-  SaphyraOptions fw;
+  // The shared sampling parameters carry over; only ε changes units.
+  SaphyraOptions fw{options};
   fw.epsilon = eps_star;
-  fw.delta = options.delta;
-  fw.vc_constant = options.vc_constant;
-  fw.seed = options.seed;
-  fw.min_initial_samples = options.min_initial_samples;
-  fw.num_threads = options.num_threads;
-  fw.top_k = options.top_k;
-  fw.max_wave = options.max_wave;
-  fw.traversal = options.traversal;
-  fw.cancel = options.cancel;
   if (options.top_k > 0) {
     // b̃c(v) = bc_a(v) + γη·ℓ_v: separation must rank by the final bc, so
     // the break-point mass enters the rule as an offset in ℓ units.

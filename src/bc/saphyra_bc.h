@@ -11,42 +11,16 @@
 
 namespace saphyra {
 
-/// \brief Parameters of the SaPHyRa_bc algorithm (§IV-D).
-struct SaphyraBcOptions {
-  /// Target additive accuracy ε on the betweenness values (Theorem 24).
-  double epsilon = 0.05;
-  /// Failure probability δ.
-  double delta = 0.01;
-  /// RNG seed (whole run is deterministic given the seed).
-  uint64_t seed = 1;
+/// \brief Parameters of the SaPHyRa_bc algorithm (§IV-D). `epsilon` is
+/// the additive accuracy on the betweenness values (Theorem 24); in top-k
+/// mode the k highest b̃c estimates must separate (per-node δ allocation
+/// from the pilot).
+struct SaphyraBcOptions : SamplingParams {
   /// Shortest-path sampling strategy of Gen_bc.
   SamplingStrategy strategy = SamplingStrategy::kBidirectional;
-  /// BFS level-expansion policy of Gen_bc (graph/frontier.h):
-  /// kAuto/kHybrid use the direction-optimizing kernel, kTopDown the
-  /// classic push. Results are bitwise identical either way.
-  TraversalPolicy traversal = TraversalPolicy::kAuto;
   /// Ablation switch: disable the 2-hop exact subspace (X̂ = ∅), leaving
   /// pure PISP sampling. Lemma 19's no-false-zero property is lost.
   bool use_exact_subspace = true;
-  /// Constant c of the sample bounds (Lemma 4).
-  double vc_constant = 0.5;
-  /// Floor on the initial sample size of the adaptive loop.
-  uint64_t min_initial_samples = 32;
-  /// Worker threads for sample generation (execution only — results are
-  /// bitwise identical for a fixed seed regardless of the thread count;
-  /// see core/progressive_sampler.h).
-  uint32_t num_threads = 1;
-  /// 0 = guaranteed-ε mode; >0 = top-k mode: sampling stops as soon as
-  /// the k highest b̃c estimates are separated from the rest by their
-  /// confidence intervals (per-node δ allocation from the pilot).
-  uint64_t top_k = 0;
-  /// Samples per engine wave (0 = one wave per stopping check); batching
-  /// granularity only, never affects results.
-  uint64_t max_wave = 0;
-  /// Optional cooperative cancellation/deadline (see util/cancel.h): on
-  /// expiry the run returns completed-wave estimates tagged degraded.
-  /// Borrowed; must outlive the run.
-  const CancelToken* cancel = nullptr;
 };
 
 /// \brief Output of SaPHyRa_bc.

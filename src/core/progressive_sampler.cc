@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "stats/empirical_bernstein.h"
-#include "stats/vc.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -16,9 +15,9 @@ namespace {
 
 /// Next checkpoint after n under geometric growth, capped at n_max.
 /// Guaranteed to advance by at least one sample so the schedule always
-/// terminates, whatever the growth factor rounds to.
-uint64_t NextCheckpoint(uint64_t n, uint64_t n_max, double growth) {
-  double scaled = static_cast<double>(n) * growth;
+/// terminates.
+uint64_t NextCheckpoint(uint64_t n, uint64_t n_max) {
+  double scaled = static_cast<double>(n) * kCheckpointGrowth;
   uint64_t next = scaled >= static_cast<double>(n_max)
                       ? n_max
                       : static_cast<uint64_t>(std::ceil(scaled));
@@ -32,34 +31,33 @@ uint64_t ClampInitial(uint64_t initial_samples, uint64_t max_samples) {
 
 }  // namespace
 
-uint32_t PlannedChecks(uint64_t initial_samples, uint64_t max_samples,
-                       double growth) {
+uint32_t PlannedChecks(uint64_t initial_samples, uint64_t max_samples) {
   SAPHYRA_CHECK(max_samples >= 2);
-  SAPHYRA_CHECK(growth > 1.0);
   uint64_t n = ClampInitial(initial_samples, max_samples);
   uint32_t checks = 1;
   while (n < max_samples) {
-    n = NextCheckpoint(n, max_samples, growth);
+    n = NextCheckpoint(n, max_samples);
     ++checks;
   }
   return checks;
 }
 
-ProgressiveOptions MakeVcCappedSchedule(double epsilon, double delta,
-                                        double vc_dimension,
-                                        double vc_constant,
-                                        uint64_t max_wave,
-                                        uint32_t num_threads) {
+ProgressiveOptions MakeSchedule(uint64_t n0, uint64_t n_max,
+                                const SamplingParams& params) {
   ProgressiveOptions schedule;
-  schedule.initial_samples = std::max<uint64_t>(
-      32, SaturatingSampleCount(vc_constant / (epsilon * epsilon) *
-                                std::log(2.0 / delta)));
-  schedule.max_samples =
-      std::max(schedule.initial_samples,
-               VcSampleBound(epsilon, delta, vc_dimension, vc_constant));
-  schedule.growth = 2.0;
-  schedule.max_wave = max_wave;
-  schedule.num_threads = num_threads;
+  // Floor the first checkpoint so the adaptive loop has a meaningful
+  // variance estimate even when the ε-derived n0 is tiny.
+  schedule.initial_samples = std::max<uint64_t>(n0, 32);
+  schedule.max_samples = std::max(n_max, schedule.initial_samples);
+  schedule.max_wave = params.max_wave;
+  schedule.num_threads = params.num_threads;
+  schedule.cancel = params.cancel;
+  // A bounded run must reach wave boundaries often enough for the poll to
+  // matter; an unbounded wave would only notice expiry at the checkpoint.
+  if (params.cancel != nullptr && params.cancel->CanExpire() &&
+      schedule.max_wave == 0) {
+    schedule.max_wave = 1024;
+  }
   return schedule;
 }
 
@@ -218,21 +216,17 @@ ProgressiveSampler::ProgressiveSampler(HypothesisRankingProblem* problem,
                                        const ProgressiveOptions& options,
                                        Rng* base_rng)
     : options_(options),
-      engine_(problem,
-              options.stripes == 0 ? kDefaultSampleStripes : options.stripes,
-              base_rng,
+      engine_(problem, kDefaultSampleStripes, base_rng,
               options.num_threads > 1 ? &SharedThreadPool() : nullptr,
               /*max_parallel=*/options.num_threads) {
   SAPHYRA_CHECK(options_.max_samples >= 2);
-  SAPHYRA_CHECK(options_.growth > 1.0);
 }
 
 ProgressiveResult ProgressiveSampler::Run(StoppingRule* rule) {
   ProgressiveResult result;
   const uint64_t n_max = options_.max_samples;
   uint64_t checkpoint = ClampInitial(options_.initial_samples, n_max);
-  rule->Begin(checkpoint, n_max,
-              PlannedChecks(checkpoint, n_max, options_.growth));
+  rule->Begin(checkpoint, n_max, PlannedChecks(checkpoint, n_max));
   uint64_t n = 0;
   for (;;) {
     // Waves only accumulate; the O(k) statistics are materialized once
@@ -271,7 +265,7 @@ ProgressiveResult ProgressiveSampler::Run(StoppingRule* rule) {
       break;
     }
     if (n >= n_max) break;
-    checkpoint = NextCheckpoint(n, n_max, options_.growth);
+    checkpoint = NextCheckpoint(n, n_max);
   }
   result.samples_used = n;
   return result;

@@ -7,22 +7,22 @@
 /// SaPHyRa_bc pipeline, and the ABRA / KADABRA baselines).
 ///
 /// A `ProgressiveSampler` draws samples on the pooled `SampleEngine` in
-/// geometric *checkpoint* targets (n0, n0·g, n0·g², …, capped by the VC
+/// geometric *checkpoint* targets (n0, 2·n0, 4·n0, …, capped by the VC
 /// budget Nmax) and evaluates a pluggable `StoppingRule` at every
 /// checkpoint. Between checkpoints the draw may be further batched into
 /// *waves* of at most `max_wave` samples — batching granularity is an
 /// execution knob only and never affects results.
 ///
-/// **Determinism.** The checkpoint geometry (n0, growth, Nmax) is part of
+/// **Determinism.** The checkpoint geometry (n0, Nmax) is part of
 /// the statistical contract: it determines how the failure budget δ is
 /// split across checks, so two runs with different geometries are
 /// different (equally valid) estimators. Everything else is execution:
 /// for a fixed (seed, stopping rule, checkpoint geometry), results are
 /// bitwise identical across thread counts, wave sizes, pool schedules and
 /// repeated runs — the engine stripes samples over a fixed number of
-/// logical RNG streams (`stripes`), and all accumulation is integer (hit
-/// counts, and 32.32 fixed point for fractional losses), hence
-/// associative. See DESIGN.md, "Adaptive stopping contract".
+/// logical RNG streams (`kDefaultSampleStripes`), and all accumulation is
+/// integer (hit counts, and 32.32 fixed point for fractional losses),
+/// hence associative. See DESIGN.md, "Adaptive stopping contract".
 ///
 /// Ownership/threading: a sampler borrows the problem and base RNG (both
 /// must outlive it) and is single-driver — Run() once, from one thread.
@@ -41,10 +41,13 @@
 
 namespace saphyra {
 
-/// Logical RNG stripes of the sampling loop. Fixed by default so that
-/// results do not depend on the thread count; changing it changes the
-/// stream partition and therefore the (equally valid) draw.
+/// Logical RNG stripes of the sampling loop. Fixed so that results do not
+/// depend on the thread count; changing it changes the stream partition
+/// and therefore the (equally valid) draw.
 inline constexpr uint32_t kDefaultSampleStripes = 16;
+
+/// Geometric growth factor between checkpoints: Algorithm 1's doubling.
+inline constexpr double kCheckpointGrowth = 2.0;
 
 /// \brief Schedule and execution parameters of the progressive loop.
 struct ProgressiveOptions {
@@ -53,8 +56,6 @@ struct ProgressiveOptions {
   /// Hard sample budget Nmax (the VC bound); the loop never exceeds it and
   /// the guarantee of Lemma 4 holds unconditionally once it is reached.
   uint64_t max_samples = 0;
-  /// Geometric growth factor between checkpoints (> 1; 2 = doubling).
-  double growth = 2.0;
   /// Cap on samples per engine wave (0 = one wave per checkpoint).
   /// Execution granularity only — never affects results.
   uint64_t max_wave = 0;
@@ -63,9 +64,6 @@ struct ProgressiveOptions {
   /// min(num_threads, pool width, stripes) of its threads). Never affects
   /// results.
   uint32_t num_threads = 1;
-  /// Logical RNG stripes (0 = kDefaultSampleStripes). Part of the seed:
-  /// different stripe counts draw different (equally valid) streams.
-  uint32_t stripes = 0;
   /// Optional cooperative cancellation, polled once per wave (null =
   /// never stops early). On expiry the run finalizes from completed waves
   /// only and is tagged degraded; polling happens at deterministic wave
@@ -76,22 +74,18 @@ struct ProgressiveOptions {
 };
 
 /// \brief Number of stopping-rule checkpoints the schedule will evaluate:
-/// the length of the sequence n0, ⌈n0·g⌉, … truncated at Nmax (inclusive).
+/// the length of the sequence n0, 2·n0, … truncated at Nmax (inclusive).
 /// Stopping rules split their failure budget δ over this count.
-uint32_t PlannedChecks(uint64_t initial_samples, uint64_t max_samples,
-                       double growth);
+uint32_t PlannedChecks(uint64_t initial_samples, uint64_t max_samples);
 
-/// \brief The standard VC-capped doubling schedule shared by the whole-
-/// graph estimators (ABRA, KADABRA): n0 = c/ε²·ln(2/δ) floored at 32, and
-/// Nmax = max(n0, VcSampleBound(ε, δ, vc)). Keeps the three frontends'
-/// schedule parameters from drifting apart. Both counts saturate at
-/// kSaturatedSampleCount (stats/vc.h); a caller must refuse to run a
-/// schedule whose Nmax saturated.
-ProgressiveOptions MakeVcCappedSchedule(double epsilon, double delta,
-                                        double vc_dimension,
-                                        double vc_constant,
-                                        uint64_t max_wave,
-                                        uint32_t num_threads);
+/// \brief The one schedule builder of the estimator frontends: first
+/// checkpoint max(n0, 32), budget max(n_max, that), and the execution
+/// fields of `params`. A cancel token that can expire also caps waves at
+/// 1024 samples (when `max_wave` is 0), so a deadline is polled often
+/// enough to bite. A saturated n0 or n_max leaves max_samples at
+/// kSaturatedSampleCount (stats/vc.h); the caller must refuse to run it.
+ProgressiveOptions MakeSchedule(uint64_t n0, uint64_t n_max,
+                                const SamplingParams& params);
 
 /// \brief A stopping criterion evaluated between sampling waves.
 ///

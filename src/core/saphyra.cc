@@ -19,28 +19,6 @@ void HypothesisRankingProblem::SampleWeightedLosses(
                     "SampleWeightedLosses called on a 0/1-loss problem");
 }
 
-namespace {
-
-ProgressiveOptions ScheduleFor(const SaphyraOptions& options, uint64_t n0,
-                               uint64_t n_max) {
-  ProgressiveOptions schedule;
-  schedule.initial_samples = n0;
-  schedule.max_samples = n_max;
-  schedule.growth = 2.0;  // Algorithm 1's doubling schedule
-  schedule.max_wave = options.max_wave;
-  schedule.num_threads = options.num_threads;
-  schedule.cancel = options.cancel;
-  // A bounded run must reach wave boundaries often enough for the poll to
-  // matter; an unbounded wave would only notice expiry at the checkpoint.
-  if (options.cancel != nullptr && options.cancel->CanExpire() &&
-      schedule.max_wave == 0) {
-    schedule.max_wave = 1024;
-  }
-  return schedule;
-}
-
-}  // namespace
-
 SaphyraResult RunSaphyra(HypothesisRankingProblem* problem,
                          const SaphyraOptions& options) {
   SAPHYRA_CHECK(options.epsilon > 0.0 && options.epsilon < 1.0);
@@ -70,16 +48,17 @@ SaphyraResult RunSaphyra(HypothesisRankingProblem* problem,
   Rng rng(options.seed);
   Rng pilot_rng = rng.Split();  // independent stream for the pilot
 
-  const double c = options.vc_constant;
+  const double c = kVcSampleConstant;
   const double vc = problem->VcDimension();
   const double log_inv_delta = std::log(1.0 / options.delta);
   // Lines 6-7: initial and maximal sample sizes.
-  uint64_t n0 =
-      SaturatingSampleCount(c / (eps_prime * eps_prime) * log_inv_delta);
-  n0 = std::max(n0, options.min_initial_samples);
-  uint64_t n_max = SaturatingSampleCount(c / (eps_prime * eps_prime) *
-                                         (vc + log_inv_delta));
-  n_max = std::max(n_max, n0);
+  const ProgressiveOptions main_schedule = MakeSchedule(
+      SaturatingSampleCount(c / (eps_prime * eps_prime) * log_inv_delta),
+      SaturatingSampleCount(c / (eps_prime * eps_prime) *
+                            (vc + log_inv_delta)),
+      options);
+  const uint64_t n0 = main_schedule.initial_samples;
+  const uint64_t n_max = main_schedule.max_samples;
   result.max_samples = n_max;
   if (n_max == kSaturatedSampleCount) {
     // No run of 2^64 samples can finish: refuse rather than sample
@@ -94,7 +73,7 @@ SaphyraResult RunSaphyra(HypothesisRankingProblem* problem,
   // progressive run of exactly n0 samples.
   std::vector<double> pilot_vars(k);
   {
-    ProgressiveSampler pilot(problem, ScheduleFor(options, n0, n0),
+    ProgressiveSampler pilot(problem, MakeSchedule(n0, n0, options),
                              &pilot_rng);
     FixedBudgetRule pilot_rule;
     ProgressiveResult pilot_run = pilot.Run(&pilot_rule);
@@ -113,11 +92,8 @@ SaphyraResult RunSaphyra(HypothesisRankingProblem* problem,
     }
   }
   // The δ budget must be split over exactly the checkpoints the main
-  // sampler will evaluate, so the growth factor comes from the schedule
-  // itself rather than a second literal that could drift.
-  const ProgressiveOptions main_schedule = ScheduleFor(options, n0, n_max);
-  const uint32_t checks =
-      PlannedChecks(n0, n_max, main_schedule.growth);
+  // sampler will evaluate.
+  const uint32_t checks = PlannedChecks(n0, n_max);
   const double delta_budget = options.delta / static_cast<double>(checks);
   std::vector<double> deltas =
       AllocateDeltas(pilot_vars, eps_prime, delta_budget, n0, n_max);
@@ -187,17 +163,16 @@ SaphyraResult RunDirectEstimation(HypothesisRankingProblem* problem,
   if (k == 0) return result;
 
   Rng rng(options.seed);
-  const uint64_t n =
-      std::max(options.min_initial_samples,
-               VcSampleBound(options.epsilon, options.delta,
-                             problem->VcDimension(), options.vc_constant));
-  if (n == kSaturatedSampleCount) {
-    result.max_samples = n;
+  // One fixed-budget schedule: a single checkpoint at the VC bound.
+  const uint64_t n = VcSampleBound(options.epsilon, options.delta,
+                                   problem->VcDimension());
+  const ProgressiveOptions schedule = MakeSchedule(n, n, options);
+  if (schedule.max_samples == kSaturatedSampleCount) {
+    result.max_samples = schedule.max_samples;
     result.budget_saturated = true;
     return result;
   }
-  // One fixed-budget schedule: a single checkpoint at the VC bound.
-  ProgressiveSampler sampler(problem, ScheduleFor(options, n, n), &rng);
+  ProgressiveSampler sampler(problem, schedule, &rng);
   FixedBudgetRule rule;
   ProgressiveResult run = sampler.Run(&rule);
   result.samples_used = result.max_samples = run.samples_used;

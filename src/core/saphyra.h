@@ -97,51 +97,45 @@ class HypothesisRankingProblem {
   }
 };
 
-/// \brief Parameters of Algorithm 1.
-struct SaphyraOptions {
-  /// Target accuracy ε of the (ε,δ)-estimation (Eq. 7).
+/// \brief The sampling parameters every estimator frontend shares:
+/// SaphyraOptions, SaphyraBcOptions, KadabraOptions and AbraOptions each
+/// extend it with only their own fields.
+struct SamplingParams {
+  // --- statistical (they fix the estimates, bit for bit) ---------------
+  /// Target accuracy ε of the (ε,δ)-estimation (Eq. 7), in the frontend's
+  /// own units (e.g. normalized betweenness for SaPHyRa_bc).
   double epsilon = 0.05;
   /// Failure probability δ.
   double delta = 0.01;
-  /// Constant c of Lemma 4 ("approximately 0.5").
-  double vc_constant = 0.5;
-  /// RNG seed; pilot sampling uses an independent derived stream, as the
-  /// paper requires ("the samples here are independent with the samples
-  /// in x").
+  /// RNG seed; the whole run is deterministic given it. Pilot sampling
+  /// uses an independent derived stream, as the paper requires ("the
+  /// samples here are independent with the samples in x").
   uint64_t seed = 1;
-  /// Lower bound on the initial sample size, so the adaptive loop has a
-  /// meaningful variance estimate even when ε′ is huge.
-  uint64_t min_initial_samples = 32;
+  /// 0 = guaranteed-ε mode (stop when every hypothesis meets ε by its
+  /// deviation bound). >0 = top-k mode: stop as soon as the k highest
+  /// estimates are separated from the rest by their confidence
+  /// half-widths; the ε budget then only caps the sample schedule via the
+  /// VC bound. A top_k covering every hypothesis is a full ranking in
+  /// disguise and falls back to ε mode.
+  uint64_t top_k = 0;
+
+  // --- execution (never change a result bit) ---------------------------
   /// Cap on threads sampling concurrently (1 = serial, running inline on
   /// the caller's thread; >1 executes on the persistent SharedThreadPool,
   /// occupying at most min(num_threads, pool width, 16 stripes) of it).
-  /// Purely an execution choice: the logical sampling streams are striped
-  /// over a fixed number of RNG stripes, so results are bitwise identical
-  /// for a given seed regardless of num_threads (see
-  /// core/progressive_sampler.h, "Determinism").
+  /// The logical sampling streams are striped over a fixed number of RNG
+  /// stripes, so results are bitwise identical for a given seed regardless
+  /// of num_threads (see core/progressive_sampler.h, "Determinism").
   uint32_t num_threads = 1;
-  /// 0 = guaranteed-ε mode (stop when every hypothesis meets ε′ by the
-  /// empirical Bernstein bound). >0 = top-k mode: stop as soon as the k
-  /// highest combined estimates are separated from the rest by their
-  /// confidence half-widths (per-hypothesis δ allocation as in Eq. 13);
-  /// the ε budget then only caps the sample schedule via the VC bound.
-  uint64_t top_k = 0;
-  /// Optional per-hypothesis additive constants (in combined-risk units)
-  /// applied when evaluating top-k separation — exact mass the frontend
-  /// adds *outside* this framework run, e.g. SaPHyRa_bc's break-point
-  /// term bc_a(v)/(γη). Empty = no external offsets. Constants shift the
-  /// estimates, not their confidence widths, so separation decisions
-  /// match the frontend's final ranking.
-  std::vector<double> top_k_offsets;
   /// Cap on the number of samples per engine wave (0 = one wave per
-  /// stopping-rule checkpoint). Batching granularity only — never affects
-  /// results (see the ProgressiveSampler determinism contract).
+  /// stopping-rule checkpoint). Batching granularity only.
   uint64_t max_wave = 0;
   /// How BFS-based sample generators expand their levels
   /// (graph/frontier.h): kAuto/kHybrid enable the direction-optimizing
   /// bottom-up pull on supporting substrates, kTopDown forces the classic
-  /// push. Execution choice only — results are bitwise identical either
-  /// way (see DESIGN.md, "Direction-optimizing traversal").
+  /// push. Results are bitwise identical either way (see DESIGN.md,
+  /// "Direction-optimizing traversal"). ABRA ignores `traversal`: it keeps
+  /// its own truncated traversal.
   TraversalPolicy traversal = TraversalPolicy::kAuto;
   /// Optional cooperative cancellation/deadline, polled at wave
   /// boundaries of both the pilot and the main loop (null = run to
@@ -150,6 +144,18 @@ struct SaphyraOptions {
   /// see util/cancel.h and DESIGN.md, "Degradation contract". Borrowed;
   /// must outlive the run.
   const CancelToken* cancel = nullptr;
+};
+
+/// \brief Parameters of Algorithm 1. The Lemma 4 constant c is
+/// kVcSampleConstant (stats/vc.h).
+struct SaphyraOptions : SamplingParams {
+  /// Optional per-hypothesis additive constants (in combined-risk units)
+  /// applied when evaluating top-k separation — exact mass the frontend
+  /// adds *outside* this framework run, e.g. SaPHyRa_bc's break-point
+  /// term bc_a(v)/(γη). Empty = no external offsets. Constants shift the
+  /// estimates, not their confidence widths, so separation decisions
+  /// match the frontend's final ranking.
+  std::vector<double> top_k_offsets = {};
 };
 
 /// \brief Diagnostics and output of Algorithm 1.

@@ -268,7 +268,8 @@ QueryResult BatchScheduler::Run(const QueryRequest& request) {
     // the estimator (e.g. bad_alloc) that left it pending would wedge
     // every future request with this key in the dedup wait.
     try {
-      res = session->RunCanonical(*snap, canonical, &token);
+      res = RunCanonicalQuery(*snap, canonical,
+                              session->options().default_threads, &token);
     } catch (const std::exception& e) {
       res.status = Status::Internal(std::string("query execution failed: ") +
                                     e.what());
@@ -281,7 +282,7 @@ QueryResult BatchScheduler::Run(const QueryRequest& request) {
   }
   res.id = request.id;
   res.graph = request.graph;
-  res.estimator = canonical.estimator;  // a no-op when RunCanonical ran
+  res.estimator = canonical.estimator;  // a no-op when the estimator ran
   if (res.status.ok()) res.mode = ServeMode::kComputed;
   // Materialize the memo entry before taking the lock: the O(|result|)
   // copy should not serialize other drivers. Degraded results are

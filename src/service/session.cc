@@ -54,6 +54,12 @@ uint64_t ChainMutationFingerprint(uint64_t prev, uint64_t epoch,
   return h.Digest();
 }
 
+GraphSnapshot::GraphSnapshot(Graph graph, GraphCache cache,
+                             uint64_t fingerprint)
+    : graph_(std::move(graph)),
+      cache_(std::move(cache)),
+      fingerprint_(fingerprint) {}
+
 const IspIndex& GraphSnapshot::isp() const {
   std::call_once(isp_once_, [this] {
     fail::MaybeFault("session.index");
@@ -69,23 +75,22 @@ Status QuerySession::Open(const std::string& graph_path,
                           std::unique_ptr<QuerySession>* out) {
   std::unique_ptr<QuerySession> session(new QuerySession());
   session->options_ = options;
-  auto snapshot = std::shared_ptr<GraphSnapshot>(new GraphSnapshot());
-  SAPHYRA_RETURN_NOT_OK(LoadGraphAuto(graph_path, options.load,
-                                      &snapshot->cache_,
+  GraphCache cache;
+  SAPHYRA_RETURN_NOT_OK(LoadGraphAuto(graph_path, options.load, &cache,
                                       &session->loaded_from_cache_));
-  snapshot->graph_ = std::move(snapshot->cache_.graph);
-  if (snapshot->graph_.num_nodes() < 2) {
-    return Status::InvalidArgument(
-        "graph too small to serve queries (n=" +
-        std::to_string(snapshot->graph_.num_nodes()) + ")");
+  Graph graph = std::move(cache.graph);
+  if (graph.num_nodes() < 2) {
+    return Status::InvalidArgument("graph too small to serve queries (n=" +
+                                   std::to_string(graph.num_nodes()) + ")");
   }
   // Prefer the fingerprint the `.sgr` header recorded (free); caches
   // written before fingerprints existed, and text parses, pay one O(n+m)
   // pass here — once per session, not per query.
-  snapshot->fingerprint_ = snapshot->cache_.content_fingerprint != 0
-                               ? snapshot->cache_.content_fingerprint
-                               : GraphContentFingerprint(snapshot->graph_);
-  session->current_ = std::move(snapshot);
+  const uint64_t fingerprint = cache.content_fingerprint != 0
+                                   ? cache.content_fingerprint
+                                   : GraphContentFingerprint(graph);
+  session->current_ = std::make_shared<const GraphSnapshot>(
+      std::move(graph), std::move(cache), fingerprint);
   if (options.eager_index) session->isp();
   *out = std::move(session);
   return Status::OK();
@@ -166,21 +171,31 @@ QueryResult QuerySession::Run(const QueryRequest& request) {
     res.status = st;
     return res;
   }
-  if (req.deadline_ms == 0) return RunCanonical(*snap, req, nullptr);
+  if (req.deadline_ms == 0) {
+    return RunCanonicalQuery(*snap, req, options_.default_threads, nullptr);
+  }
   CancelToken token;
   token.TightenDeadline(Deadline::AfterMillis(req.deadline_ms));
-  return RunCanonical(*snap, req, &token);
+  return RunCanonicalQuery(*snap, req, options_.default_threads, &token);
 }
 
-QueryResult QuerySession::RunCanonical(const GraphSnapshot& snap,
-                                       const QueryRequest& req,
-                                       const CancelToken* cancel) {
+QueryResult RunCanonicalQuery(const GraphSnapshot& snap,
+                              const QueryRequest& req,
+                              uint32_t default_threads,
+                              const CancelToken* cancel) {
   QueryResult res;
   res.id = req.id;
   res.estimator = req.estimator;
   const Graph& graph = snap.graph();
-  const uint32_t threads =
-      req.num_threads != 0 ? req.num_threads : options_.default_threads;
+  SamplingParams params;
+  params.epsilon = req.epsilon;
+  params.delta = req.delta;
+  params.seed = req.seed;
+  params.top_k = req.top_k;
+  params.num_threads =
+      req.num_threads != 0 ? req.num_threads : default_threads;
+  params.traversal = req.traversal;
+  params.cancel = cancel;
 
   // Degraded estimator outcomes surface as results, not errors: the
   // completed-wave estimates are still deterministic, so the client gets
@@ -208,15 +223,7 @@ QueryResult QuerySession::RunCanonical(const GraphSnapshot& snap,
   switch (req.estimator) {
     case EstimatorKind::kBc:
     case EstimatorKind::kBcFull: {
-      SaphyraBcOptions opts;
-      opts.epsilon = req.epsilon;
-      opts.delta = req.delta;
-      opts.seed = req.seed;
-      opts.top_k = req.top_k;
-      opts.strategy = req.strategy;
-      opts.traversal = req.traversal;
-      opts.num_threads = threads;
-      opts.cancel = cancel;
+      const SaphyraBcOptions opts{params, req.strategy};
       if (req.estimator == EstimatorKind::kBcFull) {
         SaphyraBcResult r = RunSaphyraBcFull(snap.isp(), opts);
         if (budget_saturated(r.budget_saturated)) break;
@@ -237,17 +244,10 @@ QueryResult QuerySession::RunCanonical(const GraphSnapshot& snap,
       // The problem-class path of EstimateKPathCentrality, inlined to keep
       // the sampling diagnostics. Walk sampling has no BFS, so the
       // traversal field does not apply here.
-      SaphyraOptions opts;
-      opts.epsilon = req.epsilon;
-      opts.delta = req.delta;
-      opts.seed = req.seed;
-      opts.top_k = req.top_k;
-      opts.num_threads = threads;
-      opts.cancel = cancel;
       std::vector<NodeId> targets =
           req.targets.empty() ? AllNodes(graph.num_nodes()) : req.targets;
       KPathProblem problem(graph, targets, req.k);
-      SaphyraResult r = RunSaphyra(&problem, opts);
+      SaphyraResult r = RunSaphyra(&problem, SaphyraOptions{params});
       if (budget_saturated(r.budget_saturated)) break;
       res.samples_used = r.samples_used;
       mark_degraded(r.degraded, r.degrade_reason, r.epsilon_achieved);
@@ -256,18 +256,11 @@ QueryResult QuerySession::RunCanonical(const GraphSnapshot& snap,
       break;
     }
     case EstimatorKind::kCloseness: {
-      SaphyraOptions opts;
-      opts.epsilon = req.epsilon;
-      opts.delta = req.delta;
-      opts.seed = req.seed;
-      opts.top_k = req.top_k;
-      opts.num_threads = threads;
-      opts.cancel = cancel;
       std::vector<NodeId> targets =
           req.targets.empty() ? AllNodes(graph.num_nodes()) : req.targets;
       HarmonicClosenessProblem problem(graph, targets);
       problem.set_traversal(req.traversal);
-      SaphyraResult r = RunSaphyra(&problem, opts);
+      SaphyraResult r = RunSaphyra(&problem, SaphyraOptions{params});
       if (budget_saturated(r.budget_saturated)) break;
       res.samples_used = r.samples_used;
       // RiskToCentrality is linear (×n/(n−1)), so the achieved risk bound
@@ -282,14 +275,7 @@ QueryResult QuerySession::RunCanonical(const GraphSnapshot& snap,
       break;
     }
     case EstimatorKind::kAbra: {
-      AbraOptions opts;
-      opts.epsilon = req.epsilon;
-      opts.delta = req.delta;
-      opts.seed = req.seed;
-      opts.top_k = req.top_k;
-      opts.num_threads = threads;
-      opts.cancel = cancel;
-      AbraResult r = RunAbra(graph, opts);
+      AbraResult r = RunAbra(graph, AbraOptions{params});
       if (budget_saturated(r.budget_saturated)) break;
       res.samples_used = r.samples_used;
       mark_degraded(r.degraded, r.degrade_reason, r.epsilon_achieved);
@@ -297,16 +283,7 @@ QueryResult QuerySession::RunCanonical(const GraphSnapshot& snap,
       break;
     }
     case EstimatorKind::kKadabra: {
-      KadabraOptions opts;
-      opts.epsilon = req.epsilon;
-      opts.delta = req.delta;
-      opts.seed = req.seed;
-      opts.top_k = req.top_k;
-      opts.strategy = req.strategy;
-      opts.traversal = req.traversal;
-      opts.num_threads = threads;
-      opts.cancel = cancel;
-      KadabraResult r = RunKadabra(graph, opts);
+      KadabraResult r = RunKadabra(graph, KadabraOptions{params, req.strategy});
       if (budget_saturated(r.budget_saturated)) break;
       res.samples_used = r.samples_used;
       mark_degraded(r.degraded, r.degrade_reason, r.epsilon_achieved);

@@ -79,6 +79,12 @@ struct SessionOptions {
 /// landing mid-query cannot change any result bit.
 class GraphSnapshot {
  public:
+  /// \brief Epoch 0 of `graph`. `cache` may carry that graph's
+  /// decomposition (LoadGraphAuto's; its own `graph` member is unused),
+  /// which the index then adopts instead of recomputing. `fingerprint`
+  /// keys memo entries; a caller that memoizes nothing may pass 0.
+  GraphSnapshot(Graph graph, GraphCache cache, uint64_t fingerprint);
+
   const Graph& graph() const { return graph_; }
   /// \brief Mutation epoch: 0 for the loaded graph, +1 per applied
   /// update.
@@ -193,20 +199,7 @@ class QuerySession {
   QueryResult Run(const QueryRequest& req);
 
  private:
-  friend class BatchScheduler;
-
   QuerySession() = default;
-
-  /// \brief Run() minus validation: `req` must already be canonical and
-  /// `snap` is the epoch the caller pinned at admission (all graph/index
-  /// reads go through it — snapshot isolation). The scheduler
-  /// canonicalizes once to derive the cache key and enters here, instead
-  /// of paying a second copy + sort/dedup pass per query — and owns the
-  /// cancel token (deadline measured from admission, chained to the
-  /// server-wide shutdown token). `cancel` may be null; borrowed for the
-  /// duration of the call.
-  QueryResult RunCanonical(const GraphSnapshot& snap, const QueryRequest& req,
-                           const CancelToken* cancel);
 
   SessionOptions options_;
   bool loaded_from_cache_ = false;
@@ -227,6 +220,23 @@ class QuerySession {
   /// snapshot's Graph, which epoch churn could otherwise free.
   std::shared_ptr<const GraphSnapshot> overlay_base_;
 };
+
+/// \brief The estimator dispatch: answer the canonical request `req` on
+/// `snap`. This is the only code that maps a request to an estimator
+/// frontend (RunSaphyraBc, RunSaphyraBcFull, RunSaphyra on k-path or
+/// closeness, RunAbra, RunKadabra); QuerySession::Run, the BatchScheduler
+/// and saphyra_rank all answer through it. `req` must already be
+/// canonical (CanonicalizeQuery) and every graph/index read goes through
+/// `snap` — snapshot isolation. The scheduler canonicalizes once to
+/// derive its cache key and enters here with its own cancel token
+/// (deadline from admission, chained to the server-wide shutdown token).
+/// `req.num_threads` 0 means `default_threads`. `cancel` may be null;
+/// borrowed for the call. An ε whose sample budget saturates comes back
+/// as INVALID_ARGUMENT.
+QueryResult RunCanonicalQuery(const GraphSnapshot& snap,
+                              const QueryRequest& req,
+                              uint32_t default_threads,
+                              const CancelToken* cancel);
 
 }  // namespace saphyra
 

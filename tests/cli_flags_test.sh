@@ -4,7 +4,8 @@
 # flag, not abort on a CHECK (exit 134) or silently read "abc" as 0 and
 # "5s" as 5. Valid spellings of the same flags still run (exit 0), and a
 # served request at epsilon 1 is answered INVALID_ARGUMENT (exit 3)
-# instead of aborting the server.
+# instead of aborting the server. A malformed line in a saphyra_rank
+# targets file exits 1 with a message naming the line.
 #
 # Usage: cli_flags_test.sh /path/to/saphyra_rank /path/to/saphyra_serve GRAPH
 set -u
@@ -52,6 +53,24 @@ expect 2 "--seed" "${rank[@]}" --seed -1
 expect 2 "--topk" "${rank[@]}" --topk 3k
 expect 2 "--random-targets" "$RANK" --graph "$GRAPH" --random-targets 5x
 expect 0 "" "${rank[@]}" --epsilon 0.2 --delta 0.1 --seed 7 --topk 2
+expect 2 "--algorithm" "${rank[@]}" --algorithm pagerank
+expect 2 "2^64" "${rank[@]}" --algorithm kadabra --epsilon 1e-10
+
+# Targets files: every line but an empty one or a '#' comment must be one
+# whole node id. "abc", "5x" and a whitespace-only line were once read as
+# nodes 0, 5 and 0.
+targets=("$RANK" --graph "$GRAPH" --no-cache --epsilon 0.3
+         --targets "$TMP/targets.txt")
+printf '# ids\n3\n  7 \n' > "$TMP/targets.txt"
+expect 0 "" "${targets[@]}"
+printf '3\n5x\n' > "$TMP/targets.txt"
+expect 1 "targets.txt:2" "${targets[@]}"
+printf '3\n# ok\n \t \n' > "$TMP/targets.txt"
+expect 1 "targets.txt:3" "${targets[@]}"
+printf '3\n-4\n' > "$TMP/targets.txt"
+expect 1 "targets.txt:2" "${targets[@]}"
+printf '3\nabc\n5x\n \n' > "$TMP/targets.txt"
+expect 1 "targets.txt:2" "${targets[@]}"
 
 serve=("$SERVE" --graph "$GRAPH" --no-cache)
 expect 2 "--max-queue" "${serve[@]}" --max-queue abc

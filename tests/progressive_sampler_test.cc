@@ -252,21 +252,19 @@ TEST(ProgressiveSchedule, PlannedChecksMatchesExecutedChecks) {
   ProgressiveOptions opts;
   opts.initial_samples = 32;
   opts.max_samples = 1000;
-  opts.growth = 2.0;
   Rng rng(1);
   ProgressiveSampler sampler(&p, opts, &rng);
   FixedBudgetRule rule;
   ProgressiveResult run = sampler.Run(&rule);
   EXPECT_EQ(run.samples_used, 1000u);
   EXPECT_FALSE(run.stopped_early);
-  EXPECT_EQ(run.checks_used, PlannedChecks(32, 1000, 2.0));
+  EXPECT_EQ(run.checks_used, PlannedChecks(32, 1000));
 }
 
 TEST(ProgressiveSchedule, PlannedChecksHandlesDegenerateGeometry) {
-  EXPECT_EQ(PlannedChecks(32, 32, 2.0), 1u);
-  EXPECT_EQ(PlannedChecks(64, 32, 2.0), 1u);   // initial above the cap
-  EXPECT_EQ(PlannedChecks(32, 64, 2.0), 2u);
-  EXPECT_GE(PlannedChecks(2, 1u << 20, 1.1), 10u);
+  EXPECT_EQ(PlannedChecks(32, 32), 1u);
+  EXPECT_EQ(PlannedChecks(64, 32), 1u);   // initial above the cap
+  EXPECT_EQ(PlannedChecks(32, 64), 2u);
 }
 
 TEST(ProgressiveSchedule, FineWavesReachEveryCheckpoint) {

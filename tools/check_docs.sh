@@ -14,6 +14,9 @@
 #      with src/util/status.cc.
 #   7. Every relative markdown link in the doc set resolves to a file
 #      that exists.
+#   8. Every estimator name EstimatorKindName returns is listed in the
+#      `estimator` row of docs/serving.md and the `--algorithm` row of
+#      docs/cli.md.
 
 set -euo pipefail
 
@@ -179,9 +182,33 @@ for doc in "${doc_files[@]}"; do
   done < <(grep -oE '\]\([^)]+\)' "$doc" | sed -E 's/^\]\(//; s/\)$//')
 done
 
+# --- 8. estimator names in both docs ---------------------------------------
+# The wire names come from the one name table (EstimatorKindName in
+# src/service/query.cc); each must appear back-quoted in both doc rows.
+estimator_names="$(sed -n '/^const char\* EstimatorKindName/,/^}/p' \
+                     "$REPO_ROOT/src/service/query.cc" \
+                   | grep -oE 'return "[a-z-]+";' | sed -E 's/return "(.*)";/\1/' \
+                   | sort -u || true)"
+if [[ -z "$estimator_names" ]]; then
+  echo "check_docs: could not extract estimator names from src/service/query.cc" >&2
+  fail=1
+fi
+serving_row="$(grep -E '^\| `estimator` \|' "$serving_doc" || true)"
+algorithm_row="$(grep -E '^\| `--algorithm ' "$cli_doc" || true)"
+for name in $estimator_names; do
+  if ! grep -qF -- "\`$name\`" <<< "$serving_row"; then
+    echo "check_docs: docs/serving.md estimator row lacks '$name'" >&2
+    fail=1
+  fi
+  if ! grep -qF -- "\`$name\`" <<< "$algorithm_row"; then
+    echo "check_docs: docs/cli.md --algorithm row lacks '$name'" >&2
+    fail=1
+  fi
+done
+
 if [[ "$fail" -ne 0 ]]; then
   exit 1
 fi
 echo "check_docs: README/ROADMAP tier-1 line, rank flags, headline metrics," \
      "tool flags vs docs/cli.md, BENCH_micro.json key coverage, serving" \
-     "error taxonomy and doc links all consistent"
+     "error taxonomy, doc links and estimator names all consistent"

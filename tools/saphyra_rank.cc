@@ -1,21 +1,27 @@
 // saphyra_rank — command-line node ranking.
 //
-// Loads a graph, picks (or reads) a target subset, and ranks it by
-// betweenness centrality with SaPHyRa_bc, ABRA or KADABRA.
+// Loads a graph, picks (or reads) a target subset, and ranks it with one
+// of the serving layer's estimators. The flags build the QueryRequest a
+// saphyra_serve client would send; it is canonicalized and answered by the
+// same dispatch (RunCanonicalQuery, service/session.h), so for one request
+// both tools print the same estimates, bit for bit.
 //
 // Usage:
 //   saphyra_rank --graph edges.txt [--format snap|dimacs|sgr|auto]
 //                [--targets targets.txt | --random-targets K]
-//                [--algorithm saphyra|saphyra-full|abra|kadabra]
+//                [--algorithm bc|bc-full|kpath|closeness|abra|kadabra]
 //                [--epsilon 0.05] [--delta 0.01] [--topk K] [--seed 1]
 //                [--strategy auto|topdown|hybrid]
 //                [--lcc] [--no-cache] [--output ranking.tsv]
 //
-// All algorithms run on the shared progressive sampling scheduler. By
-// default they sample until every estimate carries the (--epsilon,
-// --delta) guarantee; with --topk K they stop as soon as the K
-// highest-ranked nodes are separated from the rest by their confidence
-// intervals, which typically needs far fewer samples.
+// --algorithm takes the six estimator names of docs/serving.md, plus the
+// legacy aliases saphyra (= bc, the default) and saphyra-full (= bc-full);
+// kpath runs with the request default hop budget k = 4. All algorithms
+// run on the shared progressive sampling scheduler. By default they
+// sample until every estimate carries the (--epsilon, --delta) guarantee;
+// with --topk K they stop as soon as the K highest-ranked nodes are
+// separated from the rest by their confidence intervals, which typically
+// needs far fewer samples.
 //
 // Loading is cache-aware: when `<graph>.sgr` exists and is fresh (see
 // tools/graph_convert.cc and README.md, "The .sgr binary cache"), the graph
@@ -30,33 +36,33 @@
 // identical for a fixed seed whichever policy runs (ABRA keeps its own
 // truncated traversal and ignores the flag).
 //
-// Numeric flag values are checked (tools/flag_parse.h), and --epsilon and
-// --delta must lie in (0, 1) as in the serving layer: a malformed or
-// out-of-range value is a usage error (exit 2).
+// Numeric flag values are checked (tools/flag_parse.h). A request the
+// serving layer refuses as INVALID_ARGUMENT (--epsilon or --delta outside
+// (0, 1), a target id out of range, an ε whose sample budget passes 2^64)
+// is a usage error: exit 2.
 //
-// The targets file holds one node id per line ('#' comments allowed).
-// Output: "<rank>\t<node>\t<estimate>" sorted by rank; diagnostics go to
-// stderr.
+// The targets file holds one node id per line; empty lines and '#'
+// comments are skipped, and any other line that is not one whole
+// non-negative integer (surrounding whitespace allowed) fails with exit 1.
+// Output: "<rank>\t<node>\t<estimate>" sorted by rank, to stdout or
+// --output, with estimates in shortest round-trip digits (as
+// saphyra_serve prints them); diagnostics go to stderr.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "baselines/abra.h"
-#include "baselines/kadabra.h"
-#include "bc/saphyra_bc.h"
 #include "flag_parse.h"
 #include "graph/binary_io.h"
-#include "graph/frontier.h"
 #include "graph/connectivity.h"
-#include "graph/io.h"
+#include "graph/frontier.h"
 #include "metrics/rank.h"
+#include "service/json_util.h"
+#include "service/query.h"
+#include "service/session.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -69,15 +75,12 @@ struct Args {
   std::string format = "auto";
   std::string targets_path;
   size_t random_targets = 0;
-  std::string algorithm = "saphyra";
-  double epsilon = 0.05;
-  double delta = 0.01;
-  uint64_t topk = 0;
-  uint64_t seed = 1;
-  TraversalPolicy traversal = TraversalPolicy::kAuto;
   bool lcc = false;
   bool no_cache = false;
   std::string output;
+  /// Every other flag lands on the request; targets are added once the
+  /// graph is loaded.
+  QueryRequest req;
 };
 
 void Usage(const char* argv0) {
@@ -85,14 +88,24 @@ void Usage(const char* argv0) {
       stderr,
       "usage: %s --graph FILE [--format snap|dimacs|sgr|auto]\n"
       "          [--targets FILE | --random-targets K]\n"
-      "          [--algorithm saphyra|saphyra-full|abra|kadabra]\n"
+      "          [--algorithm bc|bc-full|kpath|closeness|abra|kadabra]\n"
       "          [--epsilon E] [--delta D] [--topk K] [--seed S] [--lcc]\n"
       "          [--strategy auto|topdown|hybrid]\n"
-      "          [--no-cache] [--output FILE]\n",
+      "          [--no-cache] [--output FILE]\n"
+      "  --algorithm also accepts saphyra (= bc) and saphyra-full "
+      "(= bc-full)\n",
       argv0);
 }
 
+/// The wire estimator names plus the legacy aliases of this tool.
+bool ParseAlgorithm(const std::string& name, EstimatorKind* out) {
+  if (name == "saphyra") return ParseEstimatorKind("bc", out);
+  if (name == "saphyra-full") return ParseEstimatorKind("bc-full", out);
+  return ParseEstimatorKind(name, out);
+}
+
 bool Parse(int argc, char** argv, Args* args) {
+  QueryRequest& req = args->req;
   for (int i = 1; i < argc; ++i) {
     std::string key = argv[i];
     auto next = [&]() -> const char* {
@@ -116,17 +129,20 @@ bool Parse(int argc, char** argv, Args* args) {
     } else if (key == "--random-targets" && (val = next())) {
       if (!number(&args->random_targets)) return false;
     } else if (key == "--algorithm" && (val = next())) {
-      args->algorithm = val;
+      if (!ParseAlgorithm(val, &req.estimator)) {
+        std::fprintf(stderr, "unknown --algorithm %s\n", val);
+        return false;
+      }
     } else if (key == "--epsilon" && (val = next())) {
-      if (!number(&args->epsilon)) return false;
+      if (!number(&req.epsilon)) return false;
     } else if (key == "--delta" && (val = next())) {
-      if (!number(&args->delta)) return false;
+      if (!number(&req.delta)) return false;
     } else if (key == "--topk" && (val = next())) {
-      if (!number(&args->topk)) return false;
+      if (!number(&req.top_k)) return false;
     } else if (key == "--seed" && (val = next())) {
-      if (!number(&args->seed)) return false;
+      if (!number(&req.seed)) return false;
     } else if (key == "--strategy" && (val = next())) {
-      if (!ParseTraversalPolicy(val, &args->traversal)) {
+      if (!ParseTraversalPolicy(val, &req.traversal)) {
         std::fprintf(stderr, "unknown --strategy %s\n", val);
         return false;
       }
@@ -141,16 +157,6 @@ bool Parse(int argc, char** argv, Args* args) {
     std::fprintf(stderr, "--graph is required\n");
     return false;
   }
-  // Every algorithm's sample bound needs both in the open unit interval.
-  if (!(args->epsilon > 0.0 && args->epsilon < 1.0)) {
-    std::fprintf(stderr, "--epsilon must be in (0, 1), got %g\n",
-                 args->epsilon);
-    return false;
-  }
-  if (!(args->delta > 0.0 && args->delta < 1.0)) {
-    std::fprintf(stderr, "--delta must be in (0, 1), got %g\n", args->delta);
-    return false;
-  }
   if (!args->targets_path.empty() && args->random_targets > 0) {
     std::fprintf(stderr, "--targets and --random-targets are exclusive\n");
     return false;
@@ -158,28 +164,32 @@ bool Parse(int argc, char** argv, Args* args) {
   return true;
 }
 
-bool LoadTargets(const std::string& path, NodeId num_nodes,
-                 std::vector<NodeId>* targets) {
+/// Read the node ids of `path` into *targets (range checks are
+/// CanonicalizeQuery's). A malformed line is reported by its number.
+bool LoadTargets(const std::string& path, std::vector<NodeId>* targets) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "cannot open targets file %s\n", path.c_str());
     return false;
   }
   std::string line;
-  while (std::getline(in, line)) {
+  for (size_t line_no = 1; std::getline(in, line); ++line_no) {
     if (line.empty() || line[0] == '#') continue;
-    uint64_t id = std::strtoull(line.c_str(), nullptr, 10);
-    if (id >= num_nodes) {
-      std::fprintf(stderr, "target id %llu out of range (n=%u)\n",
-                   static_cast<unsigned long long>(id), num_nodes);
-      return false;
-    }
-    targets->push_back(static_cast<NodeId>(id));
+    const size_t first = line.find_first_not_of(" \t\r");
+    const size_t last = line.find_last_not_of(" \t\r");
+    const std::string id = first == std::string::npos
+                               ? std::string()
+                               : line.substr(first, last - first + 1);
+    const std::string where = path + ":" + std::to_string(line_no);
+    NodeId v = 0;
+    if (!ParseFlagValue(where.c_str(), id.c_str(), &v)) return false;
+    targets->push_back(v);
   }
-  std::sort(targets->begin(), targets->end());
-  targets->erase(std::unique(targets->begin(), targets->end()),
-                 targets->end());
-  return !targets->empty();
+  if (targets->empty()) {
+    std::fprintf(stderr, "targets file %s lists no node ids\n", path.c_str());
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -190,6 +200,7 @@ int main(int argc, char** argv) {
     Usage(argv[0]);
     return 2;
   }
+  QueryRequest& req = args.req;
 
   Timer timer;
   GraphCache cache;
@@ -217,11 +228,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::vector<NodeId> targets;
+  // No targets means the whole graph, as in a served request.
   if (!args.targets_path.empty()) {
-    if (!LoadTargets(args.targets_path, g.num_nodes(), &targets)) return 1;
+    if (!LoadTargets(args.targets_path, &req.targets)) return 1;
   } else if (args.random_targets > 0) {
-    Rng rng(args.seed ^ 0xA5A5A5A5ULL);
+    Rng rng(req.seed ^ 0xA5A5A5A5ULL);
     std::vector<NodeId> all(g.num_nodes());
     for (NodeId v = 0; v < g.num_nodes(); ++v) all[v] = v;
     size_t k = std::min<size_t>(args.random_targets, all.size());
@@ -230,102 +241,54 @@ int main(int argc, char** argv) {
       std::swap(all[i], all[j]);
     }
     all.resize(k);
-    targets = std::move(all);
-  } else {
-    targets.resize(g.num_nodes());
-    for (NodeId v = 0; v < g.num_nodes(); ++v) targets[v] = v;
+    req.targets = std::move(all);
   }
-  std::fprintf(stderr,
-               "ranking %zu target nodes with %s (eps=%g, delta=%g%s)\n",
-               targets.size(), args.algorithm.c_str(), args.epsilon,
-               args.delta,
-               args.topk > 0 ? ", top-k separation mode" : "");
-
-  timer.Restart();
-  std::vector<double> estimates;
-  bool budget_saturated = false;
-  if (args.algorithm == "saphyra" || args.algorithm == "saphyra-full") {
-    std::unique_ptr<IspIndex> isp_ptr =
-        cache.has_decomposition
-            ? std::make_unique<IspIndex>(g, std::move(cache))
-            : std::make_unique<IspIndex>(g);
-    IspIndex& isp = *isp_ptr;
-    SaphyraBcOptions opts;
-    opts.epsilon = args.epsilon;
-    opts.delta = args.delta;
-    opts.seed = args.seed;
-    opts.top_k = args.topk;
-    opts.traversal = args.traversal;
-    SaphyraBcResult res =
-        args.algorithm == "saphyra-full"
-            ? RunSaphyraBcFull(isp, opts)
-            : RunSaphyraBc(isp, targets, opts);
-    budget_saturated = res.budget_saturated;
-    if (args.algorithm == "saphyra-full") {
-      estimates.reserve(targets.size());
-      for (NodeId v : targets) estimates.push_back(res.bc[v]);
-    } else {
-      estimates = std::move(res.bc);
-    }
+  st = CanonicalizeQuery(g.num_nodes(), &req);
+  QueryResult res;
+  if (st.ok()) {
     std::fprintf(stderr,
-                 "samples=%llu/%llu eta=%.4f lambda_hat=%.4f vc=%.0f\n",
-                 static_cast<unsigned long long>(res.samples_used),
-                 static_cast<unsigned long long>(res.max_samples), res.eta,
-                 res.lambda_hat, res.vc_bound);
-  } else if (args.algorithm == "abra") {
-    AbraOptions opts;
-    opts.epsilon = args.epsilon;
-    opts.delta = args.delta;
-    opts.seed = args.seed;
-    opts.top_k = args.topk;
-    AbraResult res = RunAbra(g, opts);
-    budget_saturated = res.budget_saturated;
-    for (NodeId v : targets) estimates.push_back(res.bc[v]);
-  } else if (args.algorithm == "kadabra") {
-    KadabraOptions opts;
-    opts.epsilon = args.epsilon;
-    opts.delta = args.delta;
-    opts.seed = args.seed;
-    opts.top_k = args.topk;
-    opts.traversal = args.traversal;
-    KadabraResult res = RunKadabra(g, opts);
-    budget_saturated = res.budget_saturated;
-    for (NodeId v : targets) estimates.push_back(res.bc[v]);
-  } else {
-    std::fprintf(stderr, "unknown algorithm %s\n", args.algorithm.c_str());
+                 "ranking %zu target nodes with %s (eps=%g, delta=%g%s)\n",
+                 req.targets.empty() ? size_t{g.num_nodes()}
+                                     : req.targets.size(),
+                 EstimatorKindName(req.estimator), req.epsilon, req.delta,
+                 req.top_k > 0 ? ", top-k separation mode" : "");
+    timer.Restart();
+    const GraphSnapshot snap(std::move(g), std::move(cache),
+                             /*fingerprint=*/0);
+    res = RunCanonicalQuery(snap, req, /*default_threads=*/1, nullptr);
+    st = res.status;
+  }
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    if (st.code() != StatusCode::kInvalidArgument) return 1;
+    Usage(argv[0]);
     return 2;
   }
-  if (budget_saturated) {
-    std::fprintf(stderr,
-                 "--epsilon %g needs a sample budget beyond 2^64 samples\n",
-                 args.epsilon);
-    return 2;
-  }
-  std::fprintf(stderr, "ranked in %s\n",
+  std::fprintf(stderr, "samples=%llu\nranked in %s\n",
+               static_cast<unsigned long long>(res.samples_used),
                FormatDuration(timer.ElapsedSeconds()).c_str());
 
-  std::vector<uint32_t> ranks = RanksDescending(estimates);
-  std::vector<size_t> order(targets.size());
+  std::vector<uint32_t> ranks = RanksDescending(res.estimates);
+  std::vector<size_t> order(res.nodes.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(),
             [&](size_t a, size_t b) { return ranks[a] < ranks[b]; });
 
-  std::ofstream file_out;
-  std::ostream* out = nullptr;
+  FILE* out = stdout;
   if (!args.output.empty()) {
-    file_out.open(args.output);
-    if (!file_out) {
+    out = std::fopen(args.output.c_str(), "w");
+    if (out == nullptr) {
       std::fprintf(stderr, "cannot open %s\n", args.output.c_str());
       return 1;
     }
-    out = &file_out;
   }
   for (size_t i : order) {
-    if (out != nullptr) {
-      *out << ranks[i] << '\t' << targets[i] << '\t' << estimates[i] << '\n';
-    } else {
-      std::printf("%u\t%u\t%.10f\n", ranks[i], targets[i], estimates[i]);
-    }
+    std::fprintf(out, "%u\t%u\t%s\n", ranks[i], res.nodes[i],
+                 JsonNumber(res.estimates[i]).c_str());
+  }
+  if (out != stdout && std::fclose(out) != 0) {
+    std::fprintf(stderr, "cannot write %s\n", args.output.c_str());
+    return 1;
   }
   return 0;
 }
