@@ -8,9 +8,9 @@
 namespace saphyra {
 
 // The adjacency adapters the traversal core is templated over live in
-// graph/adjacency.h, shared with the delta-overlay substrate; the
-// restriction test is still resolved at compile time (the component-view
-// adapter has none, the filtered adapter keeps the per-arc label compare).
+// graph/adjacency.h; the restriction test is still resolved at compile
+// time (the component-view adapter has none, the filtered adapter keeps
+// the per-arc label compare).
 
 PathSampler::PathSampler(const Graph& g,
                          const std::vector<uint32_t>* arc_component)

@@ -2,9 +2,8 @@
 #define SAPHYRA_GRAPH_ADJACENCY_H_
 
 /// \file
-/// Adjacency adapters: the compile-time interface every traversal core
-/// (PathSampler's bidirectional expansion, the overlay σ-BFS below,
-/// estimator walks) is templated over. An adapter exposes
+/// Adjacency adapters: the compile-time interface PathSampler's
+/// bidirectional expansion is templated over. An adapter exposes
 ///   ForEachScanned(u, scanned, f) — visit the allowed neighbors of u,
 ///                          charging every arc scanned (allowed or not)
 ///                          to *scanned,
@@ -20,14 +19,9 @@
 ///   PrefetchNode(u) — warm the CSR row before expansion,
 /// which makes them eligible for the bottom-up pull: the direction
 /// heuristic needs the unexplored arc mass, and the candidate scan needs
-/// the id range. Push-only adapters (the filtered legacy adapter here,
-/// the delta-overlay adapter in graph/delta_overlay.h) expose neither —
-/// their neighbor sets are not contiguous spans, so traversals over them
+/// the id range. The push-only filtered adapter here exposes neither —
+/// its allowed neighbors are not a contiguous span, so traversals over it
 /// always push.
-///
-/// These used to live in the anonymous namespace of bc/path_sampler.cc;
-/// they are shared here so a mutation overlay (or any future substrate)
-/// plugs into the same traversal cores without duplicating the contract.
 
 #include <cstdint>
 #include <span>

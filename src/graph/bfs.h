@@ -137,48 +137,6 @@ class BfsKernel {
   uint32_t bottom_up_levels_ = 0;
 };
 
-/// \brief σ-counting BFS over any adjacency adapter (graph/adjacency.h).
-///
-/// The substrate-generic sibling of BfsWithCounts: runs top-down over
-/// whatever neighbor relation the adapter exposes — the global CSR
-/// (GlobalAdj), a component view, or a mutation overlay (OverlayAdj in
-/// graph/delta_overlay.h). dist/σ/order are identical to BfsWithCounts on
-/// the materialized graph: expansion visits each level's vertices in
-/// frontier order and each vertex's neighbors in the adapter's (sorted)
-/// order, which is exactly the CSR top-down schedule. Used by the overlay
-/// differential tests and any traversal that must run pre-compaction.
-template <class Adj>
-SpDag BfsWithCountsOver(const Adj& adj, NodeId num_nodes, NodeId source) {
-  SpDag out;
-  out.dist.assign(num_nodes, kUnreachable);
-  out.sigma.assign(num_nodes, 0.0);
-  out.order.reserve(64);
-  out.dist[source] = 0;
-  out.sigma[source] = 1.0;
-  out.order.push_back(source);
-  size_t level_begin = 0;
-  uint32_t depth = 0;
-  while (level_begin < out.order.size()) {
-    const size_t level_end = out.order.size();
-    ++depth;
-    for (size_t i = level_begin; i < level_end; ++i) {
-      const NodeId u = out.order[i];
-      const double su = out.sigma[u];
-      adj.ForEach(u, [&](NodeId v) {
-        if (out.dist[v] == kUnreachable) {
-          out.dist[v] = depth;
-          out.sigma[v] = su;
-          out.order.push_back(v);
-        } else if (out.dist[v] == depth) {
-          out.sigma[v] += su;
-        }
-      });
-    }
-    level_begin = level_end;
-  }
-  return out;
-}
-
 /// \brief Eccentricity of `source` within its connected component.
 uint32_t Eccentricity(const Graph& g, NodeId source);
 

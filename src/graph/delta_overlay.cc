@@ -1,13 +1,12 @@
 #include "graph/delta_overlay.h"
 
 #include <algorithm>
+#include <span>
 #include <string>
 
 #include "util/logging.h"
 
 namespace saphyra {
-
-const std::vector<NodeId> DeltaOverlay::kNoInserts;
 
 namespace {
 
@@ -32,26 +31,6 @@ bool DeltaOverlay::Inserted(NodeId u, NodeId v) const {
   if (inserts_.empty()) return false;
   const std::vector<NodeId>& ins = inserts_[u];
   return std::binary_search(ins.begin(), ins.end(), v);
-}
-
-NodeId DeltaOverlay::degree(NodeId v) const {
-  NodeId d = base_->degree(v);
-  if (!tombstones_.empty()) {
-    const EdgeIndex begin = base_->offset(v);
-    const EdgeIndex end = begin + d;
-    for (EdgeIndex a = begin; a < end; ++a) {
-      if (Tombstoned(a)) --d;
-    }
-  }
-  if (!inserts_.empty()) d += static_cast<NodeId>(inserts_[v].size());
-  return d;
-}
-
-bool DeltaOverlay::HasEdge(NodeId u, NodeId v) const {
-  if (u >= num_nodes() || v >= num_nodes()) return false;
-  const EdgeIndex arc = BaseArc(u, v);
-  if (arc != kNoArc) return !Tombstoned(arc);
-  return Inserted(u, v);
 }
 
 Status DeltaOverlay::Insert(NodeId u, NodeId v) {
@@ -121,7 +100,27 @@ Graph DeltaOverlay::Materialize() const {
   NodeId max_degree = 0;
   for (NodeId u = 0; u < n; ++u) {
     const size_t row_begin = adj.size();
-    ForEachNeighbor(u, [&](NodeId v) { adj.push_back(v); });
+    // Two-pointer merge of u's live base arcs with its insert list, so the
+    // row comes out ascending. An insert never duplicates a live base arc,
+    // so the merge needs no equality branch for live entries.
+    const auto nbr = base_->neighbors(u);
+    const EdgeIndex arc_base = base_->offset(u);
+    const std::span<const NodeId> ins =
+        inserts_.empty() ? std::span<const NodeId>() : inserts_[u];
+    size_t bi = 0, ii = 0;
+    while (bi < nbr.size() && ii < ins.size()) {
+      if (Tombstoned(arc_base + bi)) {
+        ++bi;
+      } else if (nbr[bi] < ins[ii]) {
+        adj.push_back(nbr[bi++]);
+      } else {
+        adj.push_back(ins[ii++]);
+      }
+    }
+    for (; bi < nbr.size(); ++bi) {
+      if (!Tombstoned(arc_base + bi)) adj.push_back(nbr[bi]);
+    }
+    adj.insert(adj.end(), ins.begin() + ii, ins.end());
     const NodeId d = static_cast<NodeId>(adj.size() - row_begin);
     max_degree = std::max(max_degree, d);
     offsets[u + 1] = adj.size();
@@ -131,15 +130,6 @@ Graph DeltaOverlay::Materialize() const {
                              std::move(adj), &out);
   SAPHYRA_CHECK_MSG(st.ok(), st.message());
   return out;
-}
-
-void DeltaOverlay::Rebase(const Graph* new_base) {
-  SAPHYRA_CHECK(new_base != nullptr);
-  base_ = new_base;
-  inserts_.clear();
-  tombstones_.clear();
-  inserted_edges_ = 0;
-  tombstoned_edges_ = 0;
 }
 
 }  // namespace saphyra

@@ -8,8 +8,8 @@
 /// fingerprint in the header); dynamic-graph serving layers mutations on
 /// top instead of rebuilding: per-vertex sorted insert lists plus a
 /// tombstone bitmap over the base arcs. The overlay's effective edge set
-/// is (base \ tombstones) ∪ inserts, and every accessor presents it in
-/// the same sorted-dedup canonical form GraphBuilder produces — which is
+/// is (base \ tombstones) ∪ inserts, and Materialize() emits it in the
+/// same sorted-dedup canonical form GraphBuilder produces — which is
 /// what makes a mutated overlay bitwise indistinguishable from a full
 /// rebuild of the mutated edge list (the property the mutation
 /// differential tests pin).
@@ -21,20 +21,13 @@
 /// instead, so a request stream replays identically everywhere. Self
 /// loops and out-of-range endpoints are INVALID_ARGUMENT for the same
 /// reason. Deleting a pending insert cancels it; re-inserting a
-/// tombstoned base edge clears the tombstone — delta_size() counts only
-/// live deviations from the base.
+/// tombstoned base edge clears the tombstone.
 ///
-/// Traversal runs through OverlayAdj, the push-only adjacency adapter
-/// (graph/adjacency.h contract): each neighbor visit is a two-pointer
-/// merge of the live base arcs and the insert list, so neighbors come out
-/// in ascending order exactly as a materialized CSR would produce them.
-/// Past a delta budget the owner calls Materialize() and rebases — the
-/// merged CSR becomes the new base and the overlay empties (Compact()),
-/// bounding both the merge overhead and the tombstone metadata.
+/// Nothing traverses the overlay itself: the serving tier
+/// (service/session.h) builds a fresh overlay over the current epoch for
+/// each update, materializes it, and drops it.
 ///
-/// Not thread-safe: the serving tier publishes immutable epoch snapshots
-/// (service/session.h) and keeps the overlay behind the per-session
-/// update lock; concurrent queries only ever see materialized epochs.
+/// Not thread-safe; the overlay lives only inside one serialized update.
 
 #include <cstdint>
 #include <vector>
@@ -58,12 +51,6 @@ class DeltaOverlay {
     return base_->num_edges() - tombstoned_edges_ + inserted_edges_;
   }
 
-  /// \brief Effective degree of v.
-  NodeId degree(NodeId v) const;
-
-  /// \brief True iff {u, v} exists in the effective graph.
-  bool HasEdge(NodeId u, NodeId v) const;
-
   /// \brief Insert the undirected edge {u, v}.
   ///
   /// INVALID_ARGUMENT if an endpoint is out of range, u == v, or the edge
@@ -78,51 +65,12 @@ class DeltaOverlay {
   /// deleting a base edge tombstones its two arcs.
   Status Remove(NodeId u, NodeId v);
 
-  /// \brief Live deviations from the base: pending inserts + tombstoned
-  /// base edges (undirected counts). The compaction budget is charged
-  /// against this.
-  uint64_t delta_size() const { return inserted_edges_ + tombstoned_edges_; }
-
-  /// \brief Visit the effective neighbors of u in ascending order —
-  /// identical sequence to `Materialize().neighbors(u)`.
-  template <class F>
-  void ForEachNeighbor(NodeId u, F&& f) const {
-    const auto nbr = base_->neighbors(u);
-    const EdgeIndex arc_base = base_->offset(u);
-    const std::vector<NodeId>& ins = inserts_.empty()
-                                         ? kNoInserts
-                                         : inserts_[u];
-    size_t bi = 0, ii = 0;
-    while (bi < nbr.size() && ii < ins.size()) {
-      // Invariant: an insert never duplicates a live base arc, so the
-      // merge needs no equality branch for live entries.
-      if (Tombstoned(arc_base + bi)) {
-        ++bi;
-      } else if (nbr[bi] < ins[ii]) {
-        f(nbr[bi++]);
-      } else {
-        f(ins[ii++]);
-      }
-    }
-    for (; bi < nbr.size(); ++bi) {
-      if (!Tombstoned(arc_base + bi)) f(nbr[bi]);
-    }
-    for (; ii < ins.size(); ++ii) f(ins[ii]);
-  }
-
   /// \brief Build the effective graph as a clean owned CSR.
   ///
   /// Bitwise identical (offsets, adjacency, max_degree) to
   /// GraphBuilder::Build over the effective edge list — a linear merge,
   /// never a sort.
   Graph Materialize() const;
-
-  /// \brief Rebase onto `new_base` (typically a just-materialized epoch)
-  /// and drop all deltas. The previous base may then be released by the
-  /// owner; `new_base` is borrowed like the constructor's.
-  void Rebase(const Graph* new_base);
-
-  const Graph& base() const { return *base_; }
 
  private:
   bool Tombstoned(EdgeIndex arc) const {
@@ -143,7 +91,6 @@ class DeltaOverlay {
   /// True iff {u,v} is pending in the insert lists.
   bool Inserted(NodeId u, NodeId v) const;
 
-  static const std::vector<NodeId> kNoInserts;
   static constexpr EdgeIndex kNoArc = static_cast<EdgeIndex>(-1);
 
   const Graph* base_;
@@ -153,28 +100,6 @@ class DeltaOverlay {
   std::vector<uint64_t> tombstones_;
   uint64_t inserted_edges_ = 0;    ///< pending undirected inserts
   uint64_t tombstoned_edges_ = 0;  ///< tombstoned undirected base edges
-};
-
-/// \brief Push-only adjacency adapter over a DeltaOverlay
-/// (graph/adjacency.h contract). No compact arc span exists before
-/// compaction, so traversals over it always push; neighbor order is the
-/// ascending merge order, matching the materialized CSR.
-struct OverlayAdj {
-  const DeltaOverlay* overlay;
-  template <class F>
-  void ForEachScanned(NodeId u, uint64_t* scanned, F&& f) const {
-    uint64_t n = 0;
-    overlay->ForEachNeighbor(u, [&](NodeId v) {
-      ++n;
-      f(v);
-    });
-    *scanned += n;
-  }
-  template <class F>
-  void ForEach(NodeId u, F&& f) const {
-    overlay->ForEachNeighbor(u, f);
-  }
-  uint64_t Cost(NodeId u) const { return overlay->degree(u); }
 };
 
 }  // namespace saphyra

@@ -118,7 +118,8 @@ struct QueryRequest {
 /// left alone but never encoded). Updates canonicalize differently: the
 /// edge endpoints are range-checked (out of range or a self loop →
 /// INVALID_ARGUMENT) and ordered edge_u < edge_v; whether the edge
-/// exists is the overlay's business at apply time, not the parser's.
+/// exists is checked against the current epoch at apply time, not by the
+/// parser.
 Status CanonicalizeQuery(NodeId num_nodes, QueryRequest* req);
 
 /// \brief Memoization key of a canonicalized request on a specific graph.
@@ -190,8 +191,6 @@ struct QueryResult {
   uint64_t epoch = 0;
   /// The new chained graph fingerprint (ChainMutationFingerprint).
   uint64_t fingerprint = 0;
-  /// Whether this update compacted the overlay onto a clean CSR.
-  bool compacted = false;
 };
 
 /// \brief Parse one NDJSON request line. Unknown fields are rejected (a

@@ -108,13 +108,20 @@ QueryResult BatchScheduler::RunUpdate(QuerySession* session,
   if (st.ok()) {
     const EdgeMutation mut{canonical.action, canonical.edge_u,
                            canonical.edge_v};
-    st = session->ApplyUpdate(mut, &outcome);
+    // As on the query path, a throw (the index build an update may be
+    // the first to need, bad_alloc in the merge) becomes a structured
+    // error; ApplyUpdate publishes nothing before it completes, so the
+    // epoch stays where it was.
+    try {
+      st = session->ApplyUpdate(mut, &outcome);
+    } catch (const std::exception& e) {
+      st = Status::Internal(std::string("update failed: ") + e.what());
+    }
   }
   res.seconds = timer.ElapsedSeconds();
   res.status = st;
   res.epoch = outcome.epoch;
   res.fingerprint = outcome.fingerprint;
-  res.compacted = outcome.compacted;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.queries;

@@ -7,6 +7,7 @@
 #include "bc/saphyra_bc.h"
 #include "closeness/closeness.h"
 #include "core/saphyra.h"
+#include "graph/delta_overlay.h"
 #include "kpath/kpath.h"
 #include "service/json_util.h"
 #include "util/failpoint.h"
@@ -91,26 +92,25 @@ Status QuerySession::Open(const std::string& graph_path,
                                    : GraphContentFingerprint(graph);
   session->current_ = std::make_shared<const GraphSnapshot>(
       std::move(graph), std::move(cache), fingerprint);
-  if (options.eager_index) session->isp();
   *out = std::move(session);
   return Status::OK();
 }
 
 Status QuerySession::ApplyUpdate(const EdgeMutation& mut, UpdateOutcome* out) {
   std::lock_guard<std::mutex> update_lock(update_mu_);
+  // Pinned for the whole step: the overlay borrows this epoch's CSR and
+  // the repair reads its decomposition.
   std::shared_ptr<const GraphSnapshot> cur = snapshot();
-  if (overlay_ == nullptr) {
-    overlay_base_ = cur;
-    overlay_ = std::make_unique<DeltaOverlay>(&overlay_base_->graph());
-  }
-  // The overlay validates against the *effective* graph and leaves its
-  // state untouched on failure, so a rejected update changes nothing.
+  // One overlay per update, over the current epoch, gone on return: it
+  // validates the mutation and materializes the next CSR, and whatever
+  // fails after it leaves nothing behind to publish later.
+  DeltaOverlay overlay(&cur->graph());
   SAPHYRA_RETURN_NOT_OK(mut.kind == EdgeMutationKind::kInsert
-                            ? overlay_->Insert(mut.u, mut.v)
-                            : overlay_->Remove(mut.u, mut.v));
+                            ? overlay.Insert(mut.u, mut.v)
+                            : overlay.Remove(mut.u, mut.v));
 
   auto next = std::shared_ptr<GraphSnapshot>(new GraphSnapshot());
-  next->graph_ = overlay_->Materialize();
+  next->graph_ = overlay.Materialize();
   next->epoch_ = cur->epoch() + 1;
   next->fingerprint_ = ChainMutationFingerprint(
       cur->fingerprint(), next->epoch_, mut.kind, mut.u, mut.v);
@@ -119,11 +119,8 @@ Status QuerySession::ApplyUpdate(const EdgeMutation& mut, UpdateOutcome* out) {
   // now if no query ever had — repairs must chain, and the repaired
   // decomposition seeds the next repair). The new epoch adopts the result
   // lazily, exactly like a `.sgr` cache load would.
-  IncrementalBicompStats repair_stats;
-  next->cache_.bcc =
-      RepairBiconnectedComponents(cur->graph(), cur->isp().bcc(),
-                                  next->graph_, mut, options_.repair,
-                                  &repair_stats);
+  next->cache_.bcc = RepairBiconnectedComponents(
+      cur->graph(), cur->isp().bcc(), next->graph_, mut);
   next->cache_.conn = ConnectedComponents(next->graph_);
   next->cache_.views = ComponentViews(next->graph_, next->cache_.bcc);
   next->cache_.tree =
@@ -131,15 +128,6 @@ Status QuerySession::ApplyUpdate(const EdgeMutation& mut, UpdateOutcome* out) {
   next->cache_.content_fingerprint = 0;  // chained, not content-derived
   next->cache_.has_decomposition = true;
 
-  bool compacted = false;
-  if (overlay_->delta_size() >= options_.compact_threshold) {
-    // Rebase onto the freshly materialized CSR: subsequent updates merge
-    // against it instead of an ever-growing delta set. The new epoch now
-    // doubles as the overlay's base, so pin it.
-    overlay_->Rebase(&next->graph_);
-    overlay_base_ = next;
-    compacted = true;
-  }
   {
     std::lock_guard<std::mutex> lock(epoch_mu_);
     current_ = next;
@@ -147,9 +135,6 @@ Status QuerySession::ApplyUpdate(const EdgeMutation& mut, UpdateOutcome* out) {
   if (out != nullptr) {
     out->epoch = next->epoch_;
     out->fingerprint = next->fingerprint_;
-    out->compacted = compacted;
-    out->repair_fell_back = repair_stats.fell_back;
-    out->repair_dirty_arcs = repair_stats.dirty_arcs;
   }
   return Status::OK();
 }

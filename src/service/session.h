@@ -14,13 +14,15 @@
 ///
 /// Dynamic graphs. A session is a sequence of immutable epochs
 /// (GraphSnapshot): epoch 0 is the loaded graph, and each accepted
-/// {"op":"update"} produces epoch e+1 via a DeltaOverlay mutation +
-/// incremental bicomp repair (bicomp/incremental.h), then atomically
-/// publishes the new snapshot. Queries pin the snapshot current at their
-/// admission and run it to completion — snapshot isolation: an update
-/// never changes bits of an in-flight query, and a query admitted after
-/// the update sees the new epoch only. Each epoch's fingerprint chains
-/// the mutation onto the previous epoch's digest
+/// {"op":"update"} produces epoch e+1 in one self-contained step: a
+/// one-mutation DeltaOverlay over epoch e's CSR, materialized into a new
+/// CSR, incremental bicomp repair (bicomp/incremental.h) and finalize,
+/// then an atomic publish of the new snapshot. Nothing of the update
+/// outlives it but the published epoch. Queries pin the snapshot current
+/// at their admission and run it to completion — snapshot isolation: an
+/// update never changes bits of an in-flight query, and a query admitted
+/// after the update sees the new epoch only. Each epoch's fingerprint
+/// chains the mutation onto the previous epoch's digest
 /// (ChainMutationFingerprint), so memo keys and the multi-graph pool
 /// invalidate exactly the entries the mutation staled — see
 /// docs/serving.md, "Dynamic graphs".
@@ -44,7 +46,6 @@
 #include "bicomp/incremental.h"
 #include "bicomp/isp.h"
 #include "graph/binary_io.h"
-#include "graph/delta_overlay.h"
 #include "graph/graph.h"
 #include "service/query.h"
 #include "util/cancel.h"
@@ -58,18 +59,6 @@ struct SessionOptions {
   LoadGraphOptions load;
   /// Default worker threads for queries that leave num_threads at 0.
   uint32_t default_threads = 1;
-  /// Build the IspIndex at Open() instead of on the first bc query.
-  /// Off by default: sessions serving only ABRA/KADABRA/k-path/closeness
-  /// never need it.
-  bool eager_index = false;
-  /// Incremental decomposition repair knobs for ApplyUpdate (the
-  /// dirty-region budget). Every setting yields the same bytes.
-  IncrementalBicompOptions repair;
-  /// Rebuild the overlay onto a clean base CSR once this many deltas
-  /// (inserted + tombstoned edges) accumulate; 0 compacts on every
-  /// update. Compaction changes no served bit — it only bounds the
-  /// overlay's merge cost per Materialize.
-  uint64_t compact_threshold = 4096;
 };
 
 /// \brief One immutable epoch of a session: the graph's CSR, its chained
@@ -124,11 +113,6 @@ class GraphSnapshot {
 struct UpdateOutcome {
   uint64_t epoch = 0;        ///< the new epoch number
   uint64_t fingerprint = 0;  ///< the new chained fingerprint
-  bool compacted = false;    ///< the overlay rebased onto a clean CSR
-  /// Decomposition repair routing of this update (observability only;
-  /// either route yields the same bytes).
-  bool repair_fell_back = false;
-  uint64_t repair_dirty_arcs = 0;
 };
 
 /// \brief Fingerprint of epoch `epoch` obtained by applying (kind, u, v)
@@ -180,14 +164,16 @@ class QuerySession {
   /// (diagnostics only).
   bool index_built() const { return snapshot()->index_built(); }
 
-  /// \brief Apply one edge mutation, producing and publishing the next
-  /// epoch. Serialized internally; concurrent queries keep running on
-  /// their pinned snapshots. On failure (duplicate insert, delete of a
-  /// missing edge, endpoint out of range, self loop → INVALID_ARGUMENT)
-  /// the session is unchanged. On success the new epoch's decomposition
-  /// is repaired incrementally (bicomp/incremental.h) — bitwise identical
-  /// to a from-scratch pass — and `*out`, when non-null, reports the new
-  /// epoch/fingerprint and the repair route taken.
+  /// \brief Apply one edge mutation to the current epoch, producing and
+  /// publishing the next. Serialized internally; concurrent queries keep
+  /// running on their pinned snapshots. Nothing is published before every
+  /// step succeeded, so on any failure — duplicate insert, delete of a
+  /// missing edge, endpoint out of range, self loop (INVALID_ARGUMENT), or
+  /// a throw from the index build or an allocation — the session is
+  /// unchanged. On success the new epoch's decomposition is repaired
+  /// incrementally (bicomp/incremental.h) — bitwise identical to a
+  /// from-scratch pass — and `*out`, when non-null, reports the new
+  /// epoch and fingerprint.
   Status ApplyUpdate(const EdgeMutation& mut, UpdateOutcome* out = nullptr);
 
   /// \brief Answer one query on the warm state. `req` is canonicalized
@@ -209,16 +195,11 @@ class QuerySession {
   mutable std::mutex epoch_mu_;
   std::shared_ptr<const GraphSnapshot> current_;
 
-  /// Serializes ApplyUpdate: overlay state below is only touched under
-  /// it. Ordered before epoch_mu_ (ApplyUpdate publishes while holding
-  /// it); nothing acquires them the other way around.
+  /// Serializes ApplyUpdate, so each update builds on the epoch the
+  /// previous one published. Ordered before epoch_mu_ (ApplyUpdate
+  /// publishes while holding it); nothing acquires them the other way
+  /// around.
   std::mutex update_mu_;
-  /// Mutation overlay over overlay_base_'s CSR; created on the first
-  /// update, rebased onto the newest epoch at compaction.
-  std::unique_ptr<DeltaOverlay> overlay_;
-  /// Keeps the overlay's base epoch alive: the overlay borrows that
-  /// snapshot's Graph, which epoch churn could otherwise free.
-  std::shared_ptr<const GraphSnapshot> overlay_base_;
 };
 
 /// \brief The estimator dispatch: answer the canonical request `req` on

@@ -3,15 +3,16 @@
 // repair + epoch swap) must answer every query bitwise identically to a
 // COLD session opened on a from-scratch re-conversion of the same edge
 // set. Pinned over a generator sweep (ER, BA, WS, road grid, SBM), random
-// insert/delete streams, incremental repair vs. a forced full-pass
-// fallback on every update, and scheduler admission concurrency {1, 8}.
+// insert/delete streams, and scheduler admission concurrency {1, 8}. (The
+// repair's full-pass fallback is pinned against the full pass directly in
+// incremental_bicomp_test.)
 //
 // The oracle is deliberately expensive: after every mutation batch it
 // rebuilds the graph from the reference edge set, recomputes the full
 // decomposition, writes a fresh `.sgr`, and serves the workload on a cold
-// serial session. Whatever shortcut the dynamic path takes — overlay
-// materialization, incremental repair, adopted indices, epoch-chained
-// memo keys — must be invisible in the result bytes.
+// serial session. Whatever shortcut the dynamic path takes — the
+// overlay merge, incremental repair, adopted indices, epoch-chained memo
+// keys — must be invisible in the result bytes.
 
 #include <unistd.h>
 
@@ -216,15 +217,11 @@ struct Variant {
   std::unique_ptr<BatchScheduler> scheduler;
 
   static std::unique_ptr<Variant> Make(const std::string& sgr_path,
-                                       bool force_fallback,
                                        uint32_t concurrency) {
     auto v = std::make_unique<Variant>();
-    v->label = std::string(force_fallback ? "fallback" : "repair") +
-               " concurrency=" + std::to_string(concurrency);
-    SessionOptions sopts;
-    // max_dirty_fraction 0 sends every update down the full-pass fallback.
-    sopts.repair.max_dirty_fraction = force_fallback ? 0.0 : 0.25;
-    SAPHYRA_CHECK(QuerySession::Open(sgr_path, sopts, &v->session).ok());
+    v->label = "concurrency=" + std::to_string(concurrency);
+    SAPHYRA_CHECK(
+        QuerySession::Open(sgr_path, SessionOptions(), &v->session).ok());
     SchedulerOptions schopts;
     schopts.max_concurrent = concurrency;
     schopts.memo_capacity = 16;  // memo ON: stale hits would be caught
@@ -249,11 +246,10 @@ TEST(MutationDifferentialTest, OverlayServingMatchesFromScratchReconvert) {
         MakeStream(n, edges, kMutations, ++stream_seed);
     const std::vector<QueryRequest> workload = Workload(n);
 
-    // The sweep under test: repair routing x admission concurrency.
+    // The sweep under test: admission concurrency.
     std::vector<std::unique_ptr<Variant>> variants;
-    variants.push_back(Variant::Make(base.sgr_path, false, 1));
-    variants.push_back(Variant::Make(base.sgr_path, true, 8));
-    variants.push_back(Variant::Make(base.sgr_path, false, 8));
+    variants.push_back(Variant::Make(base.sgr_path, 1));
+    variants.push_back(Variant::Make(base.sgr_path, 8));
 
     for (size_t start = 0; start < stream.size(); start += kBatch) {
       // Apply the batch to every variant (through the full request path)
@@ -275,7 +271,7 @@ TEST(MutationDifferentialTest, OverlayServingMatchesFromScratchReconvert) {
               << res.status.ToString();
           ASSERT_EQ(res.epoch, i + 1) << variant->label;
           // Every variant must land on the same chained fingerprint, so
-          // memo keys agree whichever route the repair took.
+          // memo keys agree whatever the admission concurrency.
           if (fingerprint == 0) {
             fingerprint = res.fingerprint;
           } else {
@@ -311,39 +307,6 @@ TEST(MutationDifferentialTest, OverlayServingMatchesFromScratchReconvert) {
         }
       }
     }
-  }
-}
-
-TEST(MutationDifferentialTest, CompactionIsInvisibleInResultsAndFingerprints) {
-  Graph g = BarabasiAlbert(40, 2, 909);
-  const NodeId n = g.num_nodes();
-  GraphFiles files(g, "compact");
-  const std::vector<EdgeMutation> stream =
-      MakeStream(n, EdgesOf(g), 10, 6060);
-  const std::vector<QueryRequest> workload = Workload(n);
-
-  // compact_threshold 0 compacts on every update; the huge threshold
-  // never compacts. Same epochs, same fingerprints, same bytes.
-  SessionOptions always;
-  always.compact_threshold = 0;
-  SessionOptions never;
-  never.compact_threshold = 1u << 30;
-  std::unique_ptr<QuerySession> compacting, overlaying;
-  ASSERT_TRUE(QuerySession::Open(files.sgr_path, always, &compacting).ok());
-  ASSERT_TRUE(QuerySession::Open(files.sgr_path, never, &overlaying).ok());
-
-  for (size_t i = 0; i < stream.size(); ++i) {
-    UpdateOutcome a, b;
-    ASSERT_TRUE(compacting->ApplyUpdate(stream[i], &a).ok());
-    ASSERT_TRUE(overlaying->ApplyUpdate(stream[i], &b).ok());
-    EXPECT_TRUE(a.compacted);
-    EXPECT_FALSE(b.compacted);
-    ASSERT_EQ(a.epoch, b.epoch);
-    ASSERT_EQ(a.fingerprint, b.fingerprint) << "mutation " << i;
-  }
-  for (const QueryRequest& req : workload) {
-    ExpectBitwiseEqual(compacting->Run(req), overlaying->Run(req),
-                       "compaction sweep " + req.id);
   }
 }
 

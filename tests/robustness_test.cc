@@ -2,13 +2,15 @@
 // level, the scheduler's failure paths (shutdown cancel, drain deadline,
 // admission shed), and — in -DSAPHYRA_FAILPOINTS=ON builds — injected
 // faults across the serving stack (estimator throw mid-wave, index-build
-// failure, admission failure, deadline-degraded runs). The tests assert
+// failure on the query and the update path, admission failure,
+// deadline-degraded runs). The tests assert
 // the contract of DESIGN.md's "Degradation contract": truncation is
 // deterministic, errors are structured, and degraded or failed runs never
 // poison the memo LRU.
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -254,6 +256,58 @@ TEST_F(SchedulerFaultTest, IndexBuildFaultSurfacesAndRetries) {
   QueryResult ok = sched.Run(BcQuery("q2", {1, 2}));
   EXPECT_TRUE(ok.status.ok());
   EXPECT_TRUE(session->index_built());
+}
+
+// An update that is the first request to need the index builds it; a
+// throw there answers INTERNAL instead of escaping the scheduler, and
+// leaves nothing of the mutation behind: the retried insert applies
+// cleanly on top of the unchanged epoch.
+TEST_F(SchedulerFaultTest, IndexBuildFaultDuringUpdateLeavesEpochUnchanged) {
+  GraphFiles files(RandomConnectedGraph(60, 0.05, 5));
+  auto session = OpenSession(files);
+  SchedulerOptions opts;
+  opts.allow_updates = true;
+  BatchScheduler sched(session.get(), opts);
+  const std::shared_ptr<const GraphSnapshot> epoch0 = session->snapshot();
+  const Graph& base = epoch0->graph();
+  NodeId u = 0, v = 1;
+  while (base.HasEdge(u, v)) ++v;
+
+  QueryRequest update;
+  update.id = "mut";
+  update.op = RequestOp::kUpdate;
+  update.action = EdgeMutationKind::kInsert;
+  update.edge_u = u;
+  update.edge_v = v;
+
+  ASSERT_TRUE(fail::Inject("session.index", "1*throw(index build died)"));
+  QueryResult res = sched.Run(update);
+  EXPECT_EQ(res.status.code(), StatusCode::kInternal);
+  EXPECT_NE(res.status.message().find("index build died"), std::string::npos);
+  EXPECT_EQ(session->epoch(), 0u);
+  EXPECT_EQ(sched.stats().errors, 1u);
+  EXPECT_EQ(sched.stats().updates, 0u);
+
+  // The same insert again: not a duplicate of some unpublished edge.
+  res = sched.Run(update);
+  ASSERT_TRUE(res.status.ok()) << res.status.ToString();
+  EXPECT_EQ(res.epoch, 1u);
+  EXPECT_EQ(sched.stats().updates, 1u);
+
+  // Epoch 1 is the base plus exactly that edge.
+  GraphBuilder builder;
+  for (auto [a, b] : base.UndirectedEdges()) builder.AddEdge(a, b);
+  builder.AddEdge(u, v);
+  Graph want;
+  ASSERT_TRUE(builder.Build(base.num_nodes(), &want).ok());
+  const std::shared_ptr<const GraphSnapshot> epoch1 = session->snapshot();
+  const Graph& got = epoch1->graph();
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  EXPECT_EQ(got.max_degree(), want.max_degree());
+  const auto go = got.raw_offsets(), wo = want.raw_offsets();
+  EXPECT_TRUE(std::equal(go.begin(), go.end(), wo.begin(), wo.end()));
+  const auto ga = got.raw_adj(), wa = want.raw_adj();
+  EXPECT_TRUE(std::equal(ga.begin(), ga.end(), wa.begin(), wa.end()));
 }
 
 TEST_F(SchedulerFaultTest, WaveThrowCompletesEntryAndReleasesWaiters) {

@@ -862,6 +862,30 @@ TEST(BatchSchedulerTest, UpdateRejectionsLeaveTheEpochAlone) {
   EXPECT_EQ(session->epoch(), 1u);
 }
 
+// An update keeps nothing of the epoch it started from: once no caller
+// pins them, superseded epochs — and the index built on one — are freed.
+TEST(QuerySessionTest, UpdatesReleaseSupersededEpochs) {
+  GraphFiles files(PaperFig2Graph());
+  std::unique_ptr<QuerySession> session;
+  ASSERT_TRUE(
+      QuerySession::Open(files.sgr_path, SessionOptions(), &session).ok());
+  session->isp();
+  ASSERT_TRUE(session->index_built());
+  const std::weak_ptr<const GraphSnapshot> epoch0 = session->snapshot();
+
+  const auto [u1, v1] = FindAbsentEdge(session->graph());
+  ASSERT_TRUE(
+      session->ApplyUpdate({EdgeMutationKind::kInsert, u1, v1}).ok());
+  const std::weak_ptr<const GraphSnapshot> epoch1 = session->snapshot();
+  const auto [u2, v2] = FindAbsentEdge(session->graph());
+  ASSERT_TRUE(
+      session->ApplyUpdate({EdgeMutationKind::kInsert, u2, v2}).ok());
+
+  EXPECT_EQ(session->epoch(), 2u);
+  EXPECT_TRUE(epoch0.expired());
+  EXPECT_TRUE(epoch1.expired());
+}
+
 TEST(BatchSchedulerTest, SnapshotIsolationUnderConcurrentUpdates) {
   GraphFiles files(RandomConnectedGraph(36, 0.12, 21));
 

@@ -5,7 +5,9 @@
 #   2. The saphyra_rank accuracy/mode flags stay documented in README.md
 #      and parsed by the tool (both directions).
 #   3. The headline benchmark metrics stay documented in README.md.
-#   4. Every --flag a tools/*.cc binary parses appears in docs/cli.md.
+#   4. Every --flag a tools/*.cc binary parses appears in docs/cli.md, and
+#      every back-quoted --flag docs/cli.md documents is parsed by some
+#      tools/*.cc binary (no rows for removed flags).
 #   5. Every metric key in BENCH_micro.json appears somewhere in the docs
 #      (README.md, DESIGN.md, or docs/*.md).
 #   6. The serving robustness contract holds: the deadline/backpressure
@@ -57,9 +59,10 @@ for metric in adaptive_sample_reduction path_sampling_speedup \
   fi
 done
 
-# --- 4. every tool flag is in docs/cli.md ----------------------------------
+# --- 4. tool flags vs docs/cli.md, both directions --------------------------
 # A "parsed flag" is any quoted --long-option literal in a tools/*.cc file
-# (the comparison strings of the argument loops).
+# (the comparison strings of the argument loops); a "documented flag" is
+# any back-quoted span of docs/cli.md that starts with --long-option.
 cli_doc="$REPO_ROOT/docs/cli.md"
 if [[ ! -f "$cli_doc" ]]; then
   echo "check_docs: docs/cli.md is missing" >&2
@@ -73,6 +76,12 @@ else
       fi
     done < <(grep -oE '"--[a-z0-9-]+"' "$tool_src" | tr -d '"' | sort -u)
   done
+  while IFS= read -r flag; do
+    if ! grep -qF -- "\"$flag\"" "$REPO_ROOT"/tools/*.cc; then
+      echo "check_docs: docs/cli.md documents $flag but no tools/*.cc parses it" >&2
+      fail=1
+    fi
+  done < <(grep -oE '`--[a-z0-9-]+' "$cli_doc" | tr -d '`' | sort -u)
 fi
 
 # --- 5. every BENCH_micro.json key is documented somewhere -----------------
@@ -131,7 +140,7 @@ else
   # Dynamic graphs: the mutation flags must stay parsed AND explained in
   # serving.md, the section itself must survive, and the update wire
   # fields must stay documented (clients build requests from this page).
-  for flag in --allow-updates --compact-threshold; do
+  for flag in --allow-updates; do
     if ! grep -qF -- "\"$flag\"" "$REPO_ROOT/tools/saphyra_serve.cc"; then
       echo "check_docs: tools/saphyra_serve.cc no longer parses $flag" >&2
       fail=1

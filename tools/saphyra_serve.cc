@@ -34,8 +34,6 @@
 //                                         default 2000)
 //                 [--allow-updates]      (accept {"op":"update"} mutation
 //                                         requests; off = FAILED_PRECONDITION)
-//                 [--compact-threshold C] (overlay edges before compacting
-//                                          onto a clean CSR, default 4096)
 //                 [--no-cache] [--output FILE] [--stats-json FILE]
 //
 // Request lines (see docs/serving.md for the full schema):
@@ -114,7 +112,6 @@ struct Args {
   size_t max_queue = 0;
   uint64_t drain_ms = 2000;
   bool allow_updates = false;
-  uint64_t compact_threshold = 4096;
   bool no_cache = false;
   std::string output;
   std::string stats_json;
@@ -168,7 +165,7 @@ void Usage(const char* argv0) {
       "          [--requests FILE] [--concurrency N] [--threads T]\n"
       "          [--memo-capacity M] [--memo-capacity-bytes B] [--repeat R]\n"
       "          [--default-deadline-ms D] [--max-queue Q] [--drain-ms D]\n"
-      "          [--allow-updates] [--compact-threshold C]\n"
+      "          [--allow-updates]\n"
       "          [--no-cache] [--output FILE] [--stats-json FILE]\n",
       argv0);
 }
@@ -190,8 +187,6 @@ bool Parse(int argc, char** argv, Args* args) {
       args->preload = true;
     } else if (key == "--allow-updates") {
       args->allow_updates = true;
-    } else if (key == "--compact-threshold" && (val = next())) {
-      if (!number(&args->compact_threshold)) return false;
     } else if (key == "--graph" && (val = next())) {
       // NAME=PATH, or a bare PATH registered under its own spelling (the
       // single-graph invocation everyone already has in scripts).
@@ -275,7 +270,6 @@ int main(int argc, char** argv) {
   popts.session.load.format = args.format;
   popts.session.load.use_cache = !args.no_cache;
   popts.session.default_threads = std::max(1u, args.threads);
-  popts.session.compact_threshold = args.compact_threshold;
   popts.max_graphs = args.max_graphs;
   SessionPool pool(popts);
   for (const auto& [name, path] : args.graphs) {
