@@ -41,6 +41,22 @@ ExactSubspaceResult ComputeExactSubspace(const PersonalizedSpace& space) {
   double lambda_scaled = 0.0;  // λ̂ · n(n−1)·γ·η
   std::vector<double> exact_scaled(k, 0.0);
 
+  // Middles and third nodes are read off the component views: v's list in
+  // the (s,v) component holds exactly the t of the walks s→v→t that stay
+  // inside it, in ascending order, so a hub whose arcs mostly leave that
+  // component (leaf bridges) costs each walk O(deg_C(hub)), not deg(hub).
+  // v's local id is the next entry of s's own list in that component:
+  // both lists ascend, so walking s's adjacency steps through them in
+  // order, with one search for s per component instead of one per v.
+  const ComponentViews& views = isp.views();
+  std::vector<uint32_t> comp_stamp(views.num_components(), kNoStamp);
+  std::vector<const NodeId*> comp_next(views.num_components());
+  std::vector<NodeId> s_local;  // local id of s_nbr[i] in its arc's component
+  auto for_each_third = [&](uint32_t c, NodeId v_local, auto&& visit) {
+    const auto members = views.nodes(c);
+    for (NodeId lt : views.Neighbors(c, v_local)) visit(members[lt]);
+  };
+
   for (uint32_t sidx = 0; sidx < sources.size(); ++sidx) {
     const NodeId s = sources[sidx];
     for (NodeId w : g.neighbors(s)) nbr_stamp[w] = sidx;
@@ -53,16 +69,22 @@ ExactSubspaceResult ComputeExactSubspace(const PersonalizedSpace& space) {
     // (d(s,t)=1) and are skipped.
     const EdgeIndex s_base = g.offset(s);
     const auto s_nbr = g.neighbors(s);
+    s_local.resize(s_nbr.size());
+    for (size_t i = 0; i < s_nbr.size(); ++i) {
+      const uint32_t c1 = bcc.arc_component[s_base + i];
+      if (comp_stamp[c1] != sidx) {
+        comp_stamp[c1] = sidx;
+        comp_next[c1] = views.Neighbors(c1, views.ToLocal(c1, s)).data();
+      }
+      s_local[i] = *comp_next[c1]++;
+    }
     for (size_t i = 0; i < s_nbr.size(); ++i) {
       const NodeId v = s_nbr[i];
       const uint32_t c1 = bcc.arc_component[s_base + i];
       const bool v_in_a = space.HypothesisIndex(v) >= 0;
-      const EdgeIndex v_base = g.offset(v);
-      const auto v_nbr = g.neighbors(v);
-      for (size_t j = 0; j < v_nbr.size(); ++j) {
-        const NodeId t = v_nbr[j];
-        if (nbr_stamp[t] == sidx) continue;            // t == s or d(s,t)=1
-        if (bcc.arc_component[v_base + j] != c1) continue;  // crosses comps
+      // Only arcs of c1: a walk crossing components is not intra-component.
+      for_each_third(c1, s_local[i], [&](NodeId t) {
+        if (nbr_stamp[t] == sidx) return;  // t == s or d(s,t)=1
         if (pair_stamp[t] != sidx) {
           pair_stamp[t] = sidx;
           sigma_all[t] = 0;
@@ -75,7 +97,7 @@ ExactSubspaceResult ComputeExactSubspace(const PersonalizedSpace& space) {
         SAPHYRA_CHECK(pair_comp[t] == c1);
         ++sigma_all[t];
         if (v_in_a) ++sigma_a[t];
-      }
+      });
     }
 
     // λ̂ contribution of every ordered pair (s, t): the fraction of its
@@ -100,16 +122,12 @@ ExactSubspaceResult ComputeExactSubspace(const PersonalizedSpace& space) {
       if (h < 0) continue;
       const uint32_t c1 = bcc.arc_component[s_base + i];
       const double r_s = static_cast<double>(isp.OutReach(c1, s));
-      const EdgeIndex v_base = g.offset(v);
-      const auto v_nbr = g.neighbors(v);
-      for (size_t j = 0; j < v_nbr.size(); ++j) {
-        const NodeId t = v_nbr[j];
-        if (nbr_stamp[t] == sidx) continue;
-        if (bcc.arc_component[v_base + j] != c1) continue;
+      for_each_third(c1, s_local[i], [&](NodeId t) {
+        if (nbr_stamp[t] == sidx) return;
         SAPHYRA_CHECK(pair_stamp[t] == sidx && pair_comp[t] == c1);
         exact_scaled[h] += r_s * static_cast<double>(isp.OutReach(c1, t)) /
                            static_cast<double>(sigma_all[t]);
-      }
+      });
     }
   }
 

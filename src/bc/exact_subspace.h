@@ -36,7 +36,10 @@ struct ExactSubspaceResult {
 /// is why the exact subspace eliminates false zeros (Lemma 19).
 ///
 /// Runs in O(Σ_{s∈B} Σ_{v∈adj(s)} deg(v)) = O(K) time (Lemma 18) and O(n)
-/// space.
+/// space. Each middle v is scanned through the (s,v) component's view,
+/// so an (s,v) costs O(deg_C(v)) plus one O(log |C|) search per (s, C),
+/// and a hub whose arcs mostly leave that component (leaf bridges) does
+/// not make the pass quadratic in its degree.
 ExactSubspaceResult ComputeExactSubspace(const PersonalizedSpace& space);
 
 /// \brief True iff path (s, mid, t) lies in the exact subspace of `space`:

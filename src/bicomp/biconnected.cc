@@ -145,33 +145,49 @@ void FinalizeBicompFields(const Graph& g, uint32_t label_space,
     out.num_components = next;
   }
 
-  // Collect member nodes per component from the arc labels.
-  out.component_nodes.assign(out.num_components, {});
+  // Member lists, node_component and cutpoint multiplicities in two
+  // counting passes over the arc labels. Sources are scanned in ascending
+  // order, so appending u to each component it touches keeps every list
+  // sorted; a per-component last-seen stamp drops the repeats of u.
+  // node_component[u] is the smallest component u is in, the one the
+  // ascending-component scan this replaces met first.
+  const uint32_t num_comps = out.num_components;
+  std::vector<uint64_t> begin(static_cast<size_t>(num_comps) + 1, 0);
+  std::vector<NodeId> stamp(num_comps, kInvalidNode);
+  out.node_component.assign(n, kInvalidComp);
+  out.cutpoint_comp_count_.assign(n, 0);
   for (NodeId u = 0; u < n; ++u) {
-    uint32_t prev = kInvalidComp;
-    EdgeIndex base = g.offset(u);
+    const EdgeIndex base = g.offset(u);
     for (NodeId i = 0; i < g.degree(u); ++i) {
-      uint32_t c = out.arc_component[base + i];
+      const uint32_t c = out.arc_component[base + i];
       SAPHYRA_CHECK(c != kInvalidComp);
-      if (c != prev) {  // adjacency runs often share a component; cheap skip
-        out.component_nodes[c].push_back(u);
-        prev = c;
+      if (stamp[c] == u) continue;
+      stamp[c] = u;
+      ++begin[c + 1];
+      ++out.cutpoint_comp_count_[u];
+      out.node_component[u] = std::min(out.node_component[u], c);
+    }
+  }
+  for (uint32_t c = 0; c < num_comps; ++c) begin[c + 1] += begin[c];
+  std::vector<NodeId> nodes(begin[num_comps]);
+  {
+    std::vector<uint64_t> cursor(begin.begin(), begin.end() - 1);
+    std::fill(stamp.begin(), stamp.end(), kInvalidNode);
+    for (NodeId u = 0; u < n; ++u) {
+      const EdgeIndex base = g.offset(u);
+      for (NodeId i = 0; i < g.degree(u); ++i) {
+        const uint32_t c = out.arc_component[base + i];
+        if (stamp[c] == u) continue;
+        stamp[c] = u;
+        nodes[cursor[c]++] = u;
       }
     }
   }
-  for (auto& nodes : out.component_nodes) {
-    std::sort(nodes.begin(), nodes.end());
-    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-  }
-  // node_component + cutpoint multiplicities.
-  out.node_component.assign(n, kInvalidComp);
-  out.cutpoint_comp_count_.assign(n, 0);
-  for (uint32_t c = 0; c < out.num_components; ++c) {
-    for (NodeId v : out.component_nodes[c]) {
-      if (out.node_component[v] == kInvalidComp) out.node_component[v] = c;
-      ++out.cutpoint_comp_count_[v];
-    }
-  }
+  // Shared, so the views (and any copy of the decomposition) reference
+  // these two arrays rather than duplicating them.
+  out.component_nodes =
+      ComponentMembers(ArrayRef<uint64_t>::Shared(std::move(begin)),
+                       ArrayRef<NodeId>::Shared(std::move(nodes)));
   if (derive_cutpoints) {
     out.is_cutpoint.assign(n, 0);
     for (NodeId v = 0; v < n; ++v) {

@@ -1,16 +1,53 @@
 #ifndef SAPHYRA_BICOMP_BICONNECTED_H_
 #define SAPHYRA_BICOMP_BICONNECTED_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/storage.h"
 
 namespace saphyra {
 
 /// Component id for arcs that belong to no biconnected component
 /// (never produced for arcs of a valid graph; used as a sentinel).
 constexpr uint32_t kInvalidComp = static_cast<uint32_t>(-1);
+
+/// \brief Member lists of every biconnected component, flattened: component
+/// c owns the slice [begin[c], begin[c+1]) of one node array, sorted
+/// ascending. Σ|C_i| entries plus ℓ+1 offsets, with no per-component
+/// allocation. Both arrays are ArrayRefs: ComponentViews shares them
+/// rather than copying, and a `.sgr` load references the file's
+/// VIEW_NODE_BEGIN / VIEW_NODES sections zero-copy.
+class ComponentMembers {
+ public:
+  ComponentMembers() = default;
+  ComponentMembers(ArrayRef<uint64_t> begin, ArrayRef<NodeId> nodes)
+      : begin_(std::move(begin)), nodes_(std::move(nodes)) {}
+
+  /// \brief Number of components.
+  size_t size() const { return begin_.empty() ? 0 : begin_.size() - 1; }
+
+  /// \brief Members of component c, sorted ascending.
+  std::span<const NodeId> operator[](size_t c) const {
+    return {nodes_.data() + begin_[c], nodes_.data() + begin_[c + 1]};
+  }
+
+  /// \brief The flat arrays (size ℓ+1 and Σ|C_i|).
+  const ArrayRef<uint64_t>& begin_array() const { return begin_; }
+  const ArrayRef<NodeId>& node_array() const { return nodes_; }
+
+  bool operator==(const ComponentMembers& other) const {
+    return std::ranges::equal(begin_, other.begin_) &&
+           std::ranges::equal(nodes_, other.nodes_);
+  }
+
+ private:
+  ArrayRef<uint64_t> begin_;
+  ArrayRef<NodeId> nodes_;
+};
 
 /// \brief Biconnected (2-vertex-connected) decomposition of a graph.
 ///
@@ -42,7 +79,7 @@ struct BiconnectedComponents {
 
   /// Sorted node lists per component. A cutpoint appears in every component
   /// it belongs to, so the total size is n' = Σ|C_i| >= n.
-  std::vector<std::vector<NodeId>> component_nodes;
+  ComponentMembers component_nodes;
 
   /// For every node, the id of one component containing it (kInvalidComp
   /// for isolated nodes). For non-cutpoints this is *the* component.
@@ -79,7 +116,8 @@ std::vector<EdgeIndex> ComputeReverseArcs(const Graph& g);
 /// with any label values, in any order. The helper renumbers the labels
 /// canonically (ascending smallest CSR arc index — the contract above),
 /// sets num_components, and rebuilds component_nodes, node_component and
-/// the cutpoint multiplicities from the labels. With `derive_cutpoints`
+/// the cutpoint multiplicities from the labels in two O(n + m) counting
+/// passes (no per-component sort). With `derive_cutpoints`
 /// set, is_cutpoint is derived as multiplicity > 1 (a node is an
 /// articulation point iff it belongs to at least two components, the
 /// incremental repair path); otherwise the caller's is_cutpoint is kept

@@ -6,83 +6,68 @@
 
 namespace saphyra {
 
-namespace {
-
-/// Local id of `v` in the sorted member list `members`. The caller
-/// guarantees membership (every arc endpoint belongs to the arc's
-/// component).
-NodeId LocalIndex(std::span<const NodeId> members, NodeId v) {
-  auto it = std::lower_bound(members.begin(), members.end(), v);
-  SAPHYRA_CHECK(it != members.end() && *it == v);
-  return static_cast<NodeId>(it - members.begin());
-}
-
-}  // namespace
-
 ComponentViews::ComponentViews(const Graph& g,
-                               const BiconnectedComponents& bcc) {
+                               const BiconnectedComponents& bcc)
+    : node_begin_(bcc.component_nodes.begin_array()),
+      nodes_(bcc.component_nodes.node_array()) {
   const uint32_t num_comps = bcc.num_components;
-  std::vector<uint64_t> node_begin(num_comps + 1, 0);
+  SAPHYRA_CHECK(bcc.component_nodes.size() == num_comps &&
+                bcc.rev_arc.size() == g.num_arcs());
   for (uint32_t c = 0; c < num_comps; ++c) {
-    const size_t sz = bcc.component_nodes[c].size();
-    node_begin[c + 1] = node_begin[c] + sz;
-    max_size_ = std::max(max_size_, static_cast<NodeId>(sz));
+    max_size_ = std::max(max_size_, size(c));
   }
-  const size_t total_nodes = node_begin[num_comps];
-  std::vector<NodeId> nodes;
-  nodes.reserve(total_nodes);
-  for (uint32_t c = 0; c < num_comps; ++c) {
-    nodes.insert(nodes.end(), bcc.component_nodes[c].begin(),
-                 bcc.component_nodes[c].end());
-  }
-  auto members_of = [&](uint32_t c) {
-    return std::span<const NodeId>(nodes.data() + node_begin[c],
-                                   nodes.data() + node_begin[c + 1]);
-  };
+  const size_t total_nodes = nodes_.size();
 
-  // Pass 1: per-local-node degrees, accumulated into offsets[slot+1] so the
-  // prefix sum below turns them into absolute adjacency offsets.
+  // Pass 1: the local id of every arc's source, plus per-local-node
+  // degrees accumulated into offsets[slot+1] for the prefix sum below.
+  // Sources are scanned in ascending order and member lists are sorted, so
+  // the k-th distinct source met in component c has local id k: a running
+  // counter per component replaces the per-arc binary search.
+  std::vector<NodeId> arc_local(g.num_arcs());
   std::vector<EdgeIndex> offsets(total_nodes + 1, 0);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const EdgeIndex base = g.offset(u);
-    const NodeId deg = g.degree(u);
-    uint32_t last_c = kInvalidComp;
-    size_t last_slot = 0;
-    for (NodeId i = 0; i < deg; ++i) {
-      const uint32_t c = bcc.arc_component[base + i];
-      SAPHYRA_CHECK(c != kInvalidComp);
-      if (c != last_c) {
-        last_c = c;
-        last_slot = node_begin[c] + LocalIndex(members_of(c), u);
+  {
+    std::vector<NodeId> next_local(num_comps, 0);
+    std::vector<NodeId> stamp(num_comps, kInvalidNode);
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      const EdgeIndex base = g.offset(u);
+      const NodeId deg = g.degree(u);
+      for (NodeId i = 0; i < deg; ++i) {
+        const uint32_t c = bcc.arc_component[base + i];
+        SAPHYRA_CHECK(c < num_comps);
+        if (stamp[c] != u) {
+          stamp[c] = u;
+          SAPHYRA_CHECK(next_local[c] < size(c) &&
+                        ToGlobal(c, next_local[c]) == u);
+          ++next_local[c];
+        }
+        const NodeId local = next_local[c] - 1;
+        arc_local[base + i] = local;
+        ++offsets[node_begin_[c] + local + 1];
       }
-      ++offsets[last_slot + 1];
     }
   }
   for (size_t i = 1; i <= total_nodes; ++i) offsets[i] += offsets[i - 1];
   SAPHYRA_CHECK(offsets[total_nodes] == g.num_arcs());
 
-  // Pass 2: scatter each arc into its component slot. Scanning u ascending
-  // and its (sorted) global adjacency in order writes each local list sorted
-  // by global — hence by local — neighbor id.
+  // Pass 2: scatter each arc into its component slot, using offsets[slot]
+  // (the slot's start) as its write cursor; the cursor ends at the next
+  // slot's start, so shifting the array up one entry restores the offsets.
+  // The neighbor's local id is the source local id of the reverse arc.
+  // Scanning u ascending and its (sorted) global adjacency in order writes
+  // each local list sorted by global — hence by local — neighbor id.
   std::vector<NodeId> adj(g.num_arcs(), 0);
-  std::vector<EdgeIndex> cursor(offsets.begin(), offsets.end() - 1);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     const EdgeIndex base = g.offset(u);
-    const auto nbr = g.neighbors(u);
-    uint32_t last_c = kInvalidComp;
-    size_t last_slot = 0;
-    for (size_t i = 0; i < nbr.size(); ++i) {
-      const uint32_t c = bcc.arc_component[base + i];
-      if (c != last_c) {
-        last_c = c;
-        last_slot = node_begin[c] + LocalIndex(members_of(c), u);
-      }
-      adj[cursor[last_slot]++] = LocalIndex(members_of(c), nbr[i]);
+    const NodeId deg = g.degree(u);
+    for (NodeId i = 0; i < deg; ++i) {
+      const EdgeIndex e = base + i;
+      const size_t slot = node_begin_[bcc.arc_component[e]] + arc_local[e];
+      adj[offsets[slot]++] = arc_local[bcc.rev_arc[e]];
     }
   }
+  std::copy_backward(offsets.begin(), offsets.end() - 1, offsets.end());
+  offsets[0] = 0;
 
-  node_begin_ = std::move(node_begin);
-  nodes_ = std::move(nodes);
   offsets_ = std::move(offsets);
   adj_ = std::move(adj);
 }

@@ -44,7 +44,9 @@ class ComponentViews {
  public:
   ComponentViews() = default;
 
-  /// \brief Materialize every component of `bcc`. O(m log max|C_i|).
+  /// \brief Materialize every component of `bcc`. O(n + m): local ids
+  /// come from a running counter per component and the reverse-arc map,
+  /// not from a search of the member lists.
   ComponentViews(const Graph& g, const BiconnectedComponents& bcc);
 
   /// \brief Number of components ℓ.

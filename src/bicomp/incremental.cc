@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -24,57 +25,53 @@ EdgeIndex ArcIndexOf(const Graph& g, NodeId u, NodeId v) {
 /// change the result). Returns false when u and v sit in different
 /// connected components (or either is isolated): the inserted edge is a
 /// bridge block of its own and no old block changes.
+///
+/// A node's blocks are the distinct arc_component labels on its arcs, and
+/// each cutpoint is expanded at most once, so the walk costs
+/// O(Σ|C_i| + m) however many blocks meet at one cutpoint; `reads` counts
+/// the member and arc-label entries it reads.
 bool BlockCutPath(const Graph& g, const BiconnectedComponents& bcc,
-                  NodeId u, NodeId v, std::vector<uint32_t>* path) {
+                  NodeId u, NodeId v, std::vector<uint32_t>* path,
+                  uint64_t* reads) {
   path->clear();
   if (g.degree(u) == 0 || g.degree(v) == 0) return false;
-  // Per-cutpoint incident-block lists (non-cutpoints have exactly
-  // node_component); built once per repair, O(Σ|C_i|).
-  std::vector<std::vector<uint32_t>> cut_blocks(g.num_nodes());
-  for (uint32_t c = 0; c < bcc.num_components; ++c) {
-    for (NodeId w : bcc.component_nodes[c]) {
-      if (bcc.is_cutpoint[w]) cut_blocks[w].push_back(c);
-    }
-  }
-  auto blocks_of = [&](NodeId x) -> std::vector<uint32_t> {
-    if (bcc.is_cutpoint[x]) return cut_blocks[x];
-    return {bcc.node_component[x]};
+  const std::span<const uint32_t> labels = bcc.arc_component;
+  auto arc_labels = [&](NodeId x) {
+    return labels.subspan(g.offset(x), g.degree(x));
   };
-  auto contains_v = [&](uint32_t c) {
-    if (!bcc.is_cutpoint[v]) return bcc.node_component[v] == c;
-    const auto& bs = cut_blocks[v];
-    return std::find(bs.begin(), bs.end(), c) != bs.end();
-  };
+  std::vector<uint8_t> contains_v(bcc.num_components, 0);
+  for (uint32_t c : arc_labels(v)) contains_v[c] = 1;
+  *reads += g.degree(v);
   constexpr uint32_t kRoot = kInvalidComp;
   std::vector<uint32_t> parent(bcc.num_components, kInvalidComp);
   std::vector<uint8_t> visited(bcc.num_components, 0);
+  std::vector<uint8_t> expanded(g.num_nodes(), 0);
   std::deque<uint32_t> queue;
   uint32_t goal = kInvalidComp;
-  for (uint32_t c : blocks_of(u)) {
-    visited[c] = 1;
-    parent[c] = kRoot;
-    if (contains_v(c)) {
-      goal = c;  // u and v share a block (kRoot parent ends the walk)
-      break;
+  // Enqueue the unvisited blocks of x with parent `from`; true once a
+  // block holding v is reached.
+  auto expand = [&](NodeId x, uint32_t from) {
+    expanded[x] = 1;
+    for (uint32_t c : arc_labels(x)) {
+      ++*reads;
+      if (visited[c]) continue;
+      visited[c] = 1;
+      parent[c] = from;
+      if (contains_v[c]) {
+        goal = c;  // from == kRoot: u and v share a block
+        return true;
+      }
+      queue.push_back(c);
     }
-    queue.push_back(c);
-  }
+    return false;
+  };
+  expand(u, kRoot);
   while (goal == kInvalidComp && !queue.empty()) {
     const uint32_t c = queue.front();
     queue.pop_front();
     for (NodeId w : bcc.component_nodes[c]) {
-      if (!bcc.is_cutpoint[w]) continue;
-      for (uint32_t c2 : cut_blocks[w]) {
-        if (visited[c2]) continue;
-        visited[c2] = 1;
-        parent[c2] = c;
-        if (contains_v(c2)) {
-          goal = c2;
-          break;
-        }
-        queue.push_back(c2);
-      }
-      if (goal != kInvalidComp) break;
+      ++*reads;
+      if (bcc.is_cutpoint[w] && !expanded[w] && expand(w, c)) break;
     }
   }
   if (goal == kInvalidComp) return false;  // different components
@@ -110,7 +107,8 @@ BiconnectedComponents RepairBiconnectedComponents(
     if (p1 > p2) std::swap(p1, p2);
     labels.insert(labels.begin() + p1, kInvalidComp);
     labels.insert(labels.begin() + p2, kInvalidComp);
-    BlockCutPath(old_graph, old_bcc, mut.u, mut.v, &dirty);
+    BlockCutPath(old_graph, old_bcc, mut.u, mut.v, &dirty,
+                 &stats->walk_reads);
   } else {
     EdgeIndex p1 = ArcIndexOf(old_graph, mut.u, mut.v);
     EdgeIndex p2 = ArcIndexOf(old_graph, mut.v, mut.u);

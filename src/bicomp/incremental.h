@@ -64,6 +64,10 @@ struct IncrementalBicompStats {
   bool fell_back = false;      ///< full pass ran instead
   uint64_t dirty_arcs = 0;     ///< arcs of the recomputed region
   uint32_t dirty_blocks = 0;   ///< old components in the dirty set
+  /// Member and arc-label entries the insert's block-cut-tree walk read:
+  /// at most Σ|C_i| + #arcs + deg(v), however many blocks share a
+  /// cutpoint.
+  uint64_t walk_reads = 0;
 };
 
 /// \brief Repair `old_bcc` — the decomposition of `old_graph` — into the

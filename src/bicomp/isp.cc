@@ -37,36 +37,44 @@ void IspIndex::BuildDerivedTables() {
   const double pair_norm = n * (n - 1.0);
   const uint32_t num_comps = bcc_.num_components;
 
+  const ComponentMembers& members = bcc_.component_nodes;
+  const size_t total_members = members.node_array().size();
   comp_weight_.assign(num_comps, 0.0);
-  source_alias_.resize(num_comps);
-  target_alias_.resize(num_comps);
-  target_weights_.resize(num_comps);
   target_mass_.assign(num_comps, 0.0);
+  source_prob_.assign(total_members, 0.0);
+  source_alias_.assign(total_members, 0);
+  target_prob_.assign(total_members, 0.0);
+  target_alias_.assign(total_members, 0);
+  target_weight_.assign(total_members, 0.0);
   std::vector<double> src_w;
+  AliasScratch scratch;
   for (uint32_t c = 0; c < num_comps; ++c) {
-    const auto& nodes = bcc_.component_nodes[c];
+    const auto nodes = members[c];
+    const size_t begin = members.begin_array()[c];
+    const size_t k = nodes.size();
     const double csize =
         static_cast<double>(tree_.conn_size_of_comp(c));
-    src_w.clear();
-    auto& tgt_w = target_weights_[c];
-    tgt_w.clear();
+    src_w.resize(k);
+    double* tgt_w = target_weight_.data() + begin;
     double w = 0.0, mass = 0.0;
-    for (NodeId v : nodes) {
-      double r = static_cast<double>(tree_.OutReach(c, v));
+    for (size_t i = 0; i < k; ++i) {
+      double r = static_cast<double>(tree_.OutReach(c, nodes[i]));
       double sw = r * (csize - r);
-      src_w.push_back(sw);
-      tgt_w.push_back(r);
+      src_w[i] = sw;
+      tgt_w[i] = r;
       w += sw;
       mass += r;
     }
     comp_weight_[c] = w;
     target_mass_[c] = mass;
     total_weight_ += w;
-    // A component of a 2-node connected component (a single isolated edge)
-    // has zero source mass; it can never be sampled, so skip its tables.
+    // A component with zero source mass can never be sampled; its table
+    // slices stay zero.
     if (w > 0.0) {
-      source_alias_[c] = AliasTable(src_w);
-      target_alias_[c] = AliasTable(tgt_w);
+      BuildAlias(src_w, {source_prob_.data() + begin, k},
+                 {source_alias_.data() + begin, k}, &scratch);
+      BuildAlias({tgt_w, k}, {target_prob_.data() + begin, k},
+                 {target_alias_.data() + begin, k}, &scratch);
     }
   }
   gamma_ = g.num_nodes() >= 2 ? total_weight_ / pair_norm : 0.0;
@@ -99,18 +107,19 @@ std::vector<uint32_t> IspIndex::ComponentsOf(NodeId v) const {
 
 NodeId IspIndex::SampleSource(uint32_t c, Rng* rng) const {
   SAPHYRA_CHECK(comp_weight_[c] > 0.0);
-  return bcc_.component_nodes[c][source_alias_[c].Sample(rng)];
+  return bcc_.component_nodes[c][SampleAlias(Slice(source_prob_, c),
+                                             Slice(source_alias_, c), rng)];
 }
 
 NodeId IspIndex::SampleTarget(uint32_t c, NodeId s, Rng* rng) const {
-  const auto& nodes = bcc_.component_nodes[c];
+  const auto nodes = bcc_.component_nodes[c];
   // A 2-node component (bridge) has only one possible target. This is also
   // the case where rejection sampling degenerates: a bridge below a hub has
   // r(hub) = csize−1, so rejecting t == hub would loop ~csize times.
   if (nodes.size() == 2) {
     return nodes[0] == s ? nodes[1] : nodes[0];
   }
-  const auto& weights = target_weights_[c];
+  const auto weights = Slice(target_weight_, c);
   size_t s_index = static_cast<size_t>(
       std::lower_bound(nodes.begin(), nodes.end(), s) - nodes.begin());
   const double r_s = weights[s_index];
@@ -120,7 +129,8 @@ NodeId IspIndex::SampleTarget(uint32_t c, NodeId s, Rng* rng) const {
     // Pr[t | t != s] = r(t)/(mass − r(s)) exactly; with r(s) below half the
     // mass the expected number of retries is at most 2.
     for (;;) {
-      NodeId t = nodes[target_alias_[c].Sample(rng)];
+      NodeId t = nodes[SampleAlias(Slice(target_prob_, c),
+                                   Slice(target_alias_, c), rng)];
       if (t != s) return t;
     }
   }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "bicomp/biconnected.h"
@@ -101,10 +102,36 @@ class IspIndex {
   /// r_c(t) / (csize − r_c(s)).
   NodeId SampleTarget(uint32_t c, NodeId s, Rng* rng) const;
 
+  /// \brief One component's slice of a flat alias table (BuildAlias
+  /// layout), aligned with bcc().component_nodes[c]; all zeros when
+  /// comp_weight(c) == 0.
+  struct AliasSlice {
+    std::span<const double> prob;
+    std::span<const uint32_t> alias;
+  };
+  AliasSlice source_table(uint32_t c) const {
+    return {Slice(source_prob_, c), Slice(source_alias_, c)};
+  }
+  AliasSlice target_table(uint32_t c) const {
+    return {Slice(target_prob_, c), Slice(target_alias_, c)};
+  }
+
+  /// \brief Out-reach r_c(v) of every member of c, as the stage-3 weights.
+  std::span<const double> target_weights(uint32_t c) const {
+    return Slice(target_weight_, c);
+  }
+
  private:
   /// Shared tail of both constructors: the closed-form tables derived from
   /// the decomposition (γ, W_i, bc_a, alias tables).
   void BuildDerivedTables();
+
+  /// Component c's slice of a flat per-member table.
+  template <typename T>
+  std::span<const T> Slice(const std::vector<T>& flat, uint32_t c) const {
+    const auto& begin = bcc_.component_nodes.begin_array();
+    return {flat.data() + begin[c], flat.data() + begin[c + 1]};
+  }
 
   const Graph* g_;
   BiconnectedComponents bcc_;
@@ -115,13 +142,17 @@ class IspIndex {
   double total_weight_ = 0.0;
   std::vector<double> comp_weight_;
   std::vector<double> bca_;
-  // Alias tables per component, indices into bcc_.component_nodes[c].
-  std::vector<AliasTable> source_alias_;
-  std::vector<AliasTable> target_alias_;
-  // Per-component out-reach values aligned with component_nodes[c], plus
-  // their sum (= csize): needed for the no-rejection fallback in
-  // SampleTarget when one node holds most of the r-mass.
-  std::vector<std::vector<double>> target_weights_;
+  // Flat per-member tables, one entry per member-list entry (Σ|C_i|) and
+  // sliced like the member list, so component c's entries line up with
+  // bcc_.component_nodes[c]: the stage-2 and stage-3 alias tables (local
+  // indices), and the out-reach values r_c(v). The per-component r sum
+  // (target_mass_) backs the no-rejection fallback in SampleTarget when
+  // one node holds most of the r-mass.
+  std::vector<double> source_prob_;
+  std::vector<uint32_t> source_alias_;
+  std::vector<double> target_prob_;
+  std::vector<uint32_t> target_alias_;
+  std::vector<double> target_weight_;
   std::vector<double> target_mass_;
 };
 

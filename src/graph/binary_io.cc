@@ -483,12 +483,22 @@ Status LoadSgr(const std::string& path, GraphCache* out,
       ArrayRef<NodeId>(view_adj, file), meta.max_component_size,
       &out->views));
 
-  // component_nodes is the per-component slicing of the view node array.
-  bcc.component_nodes.assign(meta.num_bicomponents, {});
+  // component_nodes is the view's node array and its slicing, shared
+  // zero-copy. Every consumer indexes per-node tables by these ids and
+  // binary-searches the slices, so they must be node ids (< n) in strictly
+  // ascending order within each component.
   for (uint32_t c = 0; c < meta.num_bicomponents; ++c) {
     const auto members = out->views.nodes(c);
-    bcc.component_nodes[c].assign(members.begin(), members.end());
+    for (size_t i = 0; i < members.size(); ++i) {
+      if (members[i] >= n || (i > 0 && members[i - 1] >= members[i])) {
+        return Status::IOError(
+            ".sgr view nodes are not ascending node ids per component");
+      }
+    }
   }
+  bcc.component_nodes =
+      ComponentMembers(ArrayRef<uint64_t>(view_node_begin, file),
+                       ArrayRef<NodeId>(view_nodes, file));
 
   std::vector<uint64_t> conn_size_of_comp;
   SAPHYRA_RETURN_NOT_OK(CopySection<uint64_t>(

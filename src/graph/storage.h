@@ -37,6 +37,14 @@ class ArrayRef {
   ArrayRef(std::span<const T> view, std::shared_ptr<const void> keepalive)
       : view_(view), keepalive_(std::move(keepalive)), is_view_(true) {}
 
+  /// \brief View mode over a heap array of its own: `values` moves into a
+  /// shared block that every copy references, so copies share one array
+  /// instead of duplicating it.
+  static ArrayRef Shared(std::vector<T> values) {
+    auto holder = std::make_shared<const std::vector<T>>(std::move(values));
+    return ArrayRef(std::span<const T>(*holder), holder);
+  }
+
   const T* data() const { return is_view_ ? view_.data() : owned_.data(); }
   size_t size() const { return is_view_ ? view_.size() : owned_.size(); }
   bool empty() const { return size() == 0; }
@@ -45,7 +53,8 @@ class ArrayRef {
   const T* end() const { return data() + size(); }
   std::span<const T> span() const { return {data(), size()}; }
 
-  /// \brief True when this ArrayRef views foreign storage (mmap mode).
+  /// \brief True when this ArrayRef views storage it does not own (a
+  /// mapped file, or the shared block of Shared()).
   bool is_view() const { return is_view_; }
 
  private:

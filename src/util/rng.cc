@@ -1,5 +1,6 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace saphyra {
@@ -68,10 +69,12 @@ size_t Rng::WeightedIndex(const std::vector<double>& weights) {
 
 Rng Rng::Split() { return Rng(Next()); }
 
-AliasTable::AliasTable(const std::vector<double>& weights) {
+void BuildAlias(std::span<const double> weights, std::span<double> prob,
+                std::span<uint32_t> alias, AliasScratch* scratch) {
   const size_t k = weights.size();
-  prob_.assign(k, 0.0);
-  alias_.assign(k, 0);
+  assert(prob.size() == k && alias.size() == k);
+  std::fill(prob.begin(), prob.end(), 0.0);
+  std::fill(alias.begin(), alias.end(), 0);
   if (k == 0) return;
   double total = 0.0;
   for (double w : weights) {
@@ -79,12 +82,13 @@ AliasTable::AliasTable(const std::vector<double>& weights) {
     total += w;
   }
   assert(total > 0.0);
-  // Vose's algorithm.
-  std::vector<double> scaled(k);
+  std::vector<double>& scaled = scratch->scaled;
+  std::vector<uint32_t>& small = scratch->small;
+  std::vector<uint32_t>& large = scratch->large;
+  scaled.resize(k);
+  small.clear();
+  large.clear();
   for (size_t i = 0; i < k; ++i) scaled[i] = weights[i] * k / total;
-  std::vector<uint32_t> small, large;
-  small.reserve(k);
-  large.reserve(k);
   for (size_t i = 0; i < k; ++i) {
     (scaled[i] < 1.0 ? small : large).push_back(static_cast<uint32_t>(i));
   }
@@ -93,25 +97,25 @@ AliasTable::AliasTable(const std::vector<double>& weights) {
     small.pop_back();
     uint32_t l = large.back();
     large.pop_back();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
+    prob[s] = scaled[s];
+    alias[s] = l;
     scaled[l] = (scaled[l] + scaled[s]) - 1.0;
     (scaled[l] < 1.0 ? small : large).push_back(l);
   }
   while (!large.empty()) {
-    prob_[large.back()] = 1.0;
+    prob[large.back()] = 1.0;
     large.pop_back();
   }
   while (!small.empty()) {
-    prob_[small.back()] = 1.0;
+    prob[small.back()] = 1.0;
     small.pop_back();
   }
 }
 
-size_t AliasTable::Sample(Rng* rng) const {
-  assert(!prob_.empty());
-  size_t i = rng->UniformInt(prob_.size());
-  return rng->UniformDouble() < prob_[i] ? i : alias_[i];
+AliasTable::AliasTable(const std::vector<double>& weights)
+    : prob_(weights.size()), alias_(weights.size()) {
+  AliasScratch scratch;
+  BuildAlias(weights, prob_, alias_, &scratch);
 }
 
 }  // namespace saphyra

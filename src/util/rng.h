@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace saphyra {
@@ -53,11 +54,34 @@ class Rng {
   uint64_t s_[4];
 };
 
+/// \brief Work arrays of BuildAlias, reusable across calls so a caller
+/// building many tables allocates them once.
+struct AliasScratch {
+  std::vector<double> scaled;
+  std::vector<uint32_t> small;
+  std::vector<uint32_t> large;
+};
+
+/// \brief Vose's alias construction: fill `prob` and `alias` (both of
+/// weights.size()) so that SampleAlias draws index i with probability
+/// weights[i] / Σweights. Weights must be non-negative with a positive
+/// total. O(k), allocation-free once `scratch` has grown to k.
+void BuildAlias(std::span<const double> weights, std::span<double> prob,
+                std::span<uint32_t> alias, AliasScratch* scratch);
+
+/// \brief One draw from a table built by BuildAlias: one uniform index and
+/// one uniform double. Requires a non-empty table.
+inline size_t SampleAlias(std::span<const double> prob,
+                          std::span<const uint32_t> alias, Rng* rng) {
+  const size_t i = rng->UniformInt(prob.size());
+  return rng->UniformDouble() < prob[i] ? i : alias[i];
+}
+
 /// \brief Alias table for O(1) sampling from a fixed discrete distribution.
 ///
 /// Built once in O(k) from a weight vector; each Sample() costs one random
 /// draw and one comparison. Used by the multistage sampler where the
-/// bi-component / source-node distributions are fixed for the whole run.
+/// bi-component distribution is fixed for the whole run.
 class AliasTable {
  public:
   AliasTable() = default;
@@ -70,7 +94,7 @@ class AliasTable {
   bool empty() const { return prob_.empty(); }
 
   /// \brief Draw an index in [0, size()). Requires a non-empty table.
-  size_t Sample(Rng* rng) const;
+  size_t Sample(Rng* rng) const { return SampleAlias(prob_, alias_, rng); }
 
  private:
   std::vector<double> prob_;

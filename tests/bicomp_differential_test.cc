@@ -3,9 +3,11 @@
 // independent recursive reference (ReferenceBcc, tests/test_util.h),
 // asserting canonical equivalence (same articulation points, same edge
 // partition), and a rerun asserts bitwise field equality (the `.sgr`
-// invariance contract). Deep path/comb graphs pin the no-recursion
-// guarantee, and the end-to-end section checks that `.sgr` bytes are
-// reproducible and survive a reload.
+// invariance contract). The same sweep checks the linear views build and
+// the flat alias tables against their reference builds
+// (tests/bicomp_test_util.h), bit for bit. Deep path/comb graphs pin the
+// no-recursion guarantee, and the end-to-end section checks that `.sgr`
+// bytes are reproducible, equal pinned digests and survive a reload.
 
 #include <algorithm>
 #include <cstdio>
@@ -24,7 +26,9 @@
 #include "graph/binary_io.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/io.h"
 #include "test_util.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace saphyra {
@@ -33,6 +37,8 @@ namespace {
 using testing::CanonicalBcc;
 using testing::Canonicalize;
 using testing::ExpectBccBitwiseEqual;
+using testing::ExpectIspTablesMatchReference;
+using testing::ExpectViewsMatchReference;
 using testing::MakeGraph;
 using testing::ReferenceBcc;
 
@@ -222,6 +228,22 @@ TEST(BicompDifferential, MatchesReferenceOracleAcrossGeneratorSweep) {
   }
 }
 
+TEST(BicompDifferential, ViewsAndAliasTablesMatchReferenceAcrossSweep) {
+  std::vector<Case> cases = GeneratorSweep();
+  ASSERT_GE(cases.size(), 200u);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const IspIndex isp(c.graph);
+    // The views hold the decomposition's member arrays, not a copy.
+    EXPECT_EQ(isp.views().raw_nodes().data(),
+              isp.bcc().component_nodes.node_array().data());
+    EXPECT_EQ(isp.views().raw_node_begin().data(),
+              isp.bcc().component_nodes.begin_array().data());
+    ExpectViewsMatchReference(c.graph, isp.bcc(), isp.views(), c.name);
+    ExpectIspTablesMatchReference(isp, c.name);
+  }
+}
+
 // --- deep-graph stress -------------------------------------------------------
 
 TEST(BicompDifferential, MillionDeepPathRunsWithoutRecursion) {
@@ -277,6 +299,44 @@ TEST(BicompDifferential, SgrBytesIdenticalAcrossRebuilds) {
       << "`.sgr` bytes differ between two builds of one graph";
   std::remove(first_path.c_str());
   std::remove(second_path.c_str());
+}
+
+/// FNV-1a of the `.sgr` bytes WriteSgr emits for `g` with its full
+/// decomposition and no source provenance.
+uint64_t SgrDigest(const Graph& g, const std::string& name) {
+  IspIndex isp(g);
+  const std::string path = ::testing::TempDir() + "/pinned_" + name + ".sgr";
+  EXPECT_TRUE(WriteSgr(path, g, &isp.bcc(), &isp.conn(), &isp.views(),
+                       &isp.tree())
+                  .ok());
+  const std::string bytes = ReadFileBytes(path);
+  std::remove(path.c_str());
+  Fnv1a64 h;
+  h.Update(bytes);
+  return h.Digest();
+}
+
+// The format is frozen at version 1: these digests were recorded from the
+// writer before the decomposition derivation was made linear and flat, so
+// any drift in the emitted bytes (section order, padding, a changed view
+// or decomposition array) fails here, not only a rebuild-vs-rebuild check.
+// Integers are written in native byte order; the digests are those of a
+// little-endian host.
+TEST(BicompDifferential, SgrBytesMatchPinnedDigests) {
+  Graph fixture;
+  ASSERT_TRUE(
+      LoadSnapEdgeList(SAPHYRA_TEST_DATA_DIR "/serve_fixture.txt", &fixture)
+          .ok());
+  std::vector<std::pair<NodeId, NodeId>> star_edges;
+  for (NodeId leaf = 1; leaf <= 1000; ++leaf) star_edges.push_back({0, leaf});
+  star_edges.push_back({1001, 1002});
+  star_edges.push_back({1002, 1003});
+  star_edges.push_back({1001, 1003});
+  const Graph star = MakeGraph(1004, star_edges);
+  EXPECT_EQ(SgrDigest(fixture, "fixture"), 0x91d8aef26a89428cULL);
+  EXPECT_EQ(SgrDigest(BarabasiAlbert(30, 2, 9), "ba30"),
+            0xa14e043c5f1f95d5ULL);
+  EXPECT_EQ(SgrDigest(star, "star"), 0xadfda5d7f44fb92eULL);
 }
 
 TEST(BicompDifferential, DeepGraphSurvivesTheFullSgrPipeline) {

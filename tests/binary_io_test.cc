@@ -404,16 +404,8 @@ TEST_P(BinaryIoTest, ByteFlipSweepYieldsStatusNeverCrash) {
                     std::istreambuf_iterator<char>());
   }
   ASSERT_GT(pristine.size(), 64u);
-  // Every byte of the header and section table, then a coprime stride
-  // through the payloads (coverage of every section without a
-  // per-byte sweep of the whole file).
-  std::vector<size_t> offsets;
-  const size_t dense_prefix = std::min<size_t>(pristine.size(), 640);
-  for (size_t i = 0; i < dense_prefix; ++i) offsets.push_back(i);
-  for (size_t i = dense_prefix; i < pristine.size(); i += 7) {
-    offsets.push_back(i);
-  }
-  for (size_t off : offsets) {
+  // Every byte of the file, one flip at a time.
+  for (size_t off = 0; off < pristine.size(); ++off) {
     std::string mutated = pristine;
     mutated[off] = static_cast<char>(mutated[off] ^ 0xFF);
     {
@@ -428,6 +420,12 @@ TEST_P(BinaryIoTest, ByteFlipSweepYieldsStatusNeverCrash) {
       // shallowly usable.
       EXPECT_LE(cache.graph.num_nodes(), 2u * g.num_nodes())
           << "flipped byte " << off;
+      // A loaded decomposition must also survive adoption — what
+      // GraphSnapshot::isp() runs on a served cache — without UB.
+      if (cache.has_decomposition) {
+        Graph graph = std::move(cache.graph);
+        IspIndex adopted(graph, std::move(cache));
+      }
     }
   }
 }

@@ -4,7 +4,11 @@
 // insert across cutpoints, bridge insert across components, isolated
 // endpoints, block-splitting delete, bridge delete — and random mutation
 // streams over the generator sweep chain repairs for hundreds of steps,
-// including the forced-fallback route.
+// including the forced-fallback route. Every step also derives the next
+// epoch's index the way the serving layer does (views, block-cut tree,
+// adoption) and checks the views and alias tables against their
+// reference builds. A 300k-leaf hub pins the block-cut-path walk as
+// linear in the number of blocks meeting at one cutpoint.
 
 #include <set>
 #include <string>
@@ -14,8 +18,13 @@
 #include <gtest/gtest.h>
 
 #include "bicomp/biconnected.h"
+#include "bicomp/block_cut_tree.h"
+#include "bicomp/component_view.h"
 #include "bicomp/incremental.h"
+#include "bicomp/isp.h"
 #include "bicomp_test_util.h"
+#include "graph/binary_io.h"
+#include "graph/connectivity.h"
 #include "graph/delta_overlay.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -26,6 +35,8 @@ namespace saphyra {
 namespace {
 
 using testing::ExpectBccBitwiseEqual;
+using testing::ExpectIspTablesMatchReference;
+using testing::ExpectViewsMatchReference;
 using testing::MakeGraph;
 using testing::PaperFig2Graph;
 
@@ -54,6 +65,17 @@ Applied ApplyAndCheck(const Graph& g, const BiconnectedComponents& bcc,
                                         opts, stats);
   ExpectBccBitwiseEqual(out.bcc, ComputeBiconnectedComponents(out.graph),
                         what);
+  // The next epoch's index, derived from the repaired decomposition and
+  // adopted as QuerySession::ApplyUpdate publishes it.
+  GraphCache cache;
+  cache.bcc = out.bcc;
+  cache.conn = ConnectedComponents(out.graph);
+  cache.views = ComponentViews(out.graph, cache.bcc);
+  cache.tree = BlockCutTree::Build(out.graph, cache.bcc, cache.conn);
+  cache.has_decomposition = true;
+  ExpectViewsMatchReference(out.graph, out.bcc, cache.views, what);
+  const IspIndex isp(out.graph, std::move(cache));
+  ExpectIspTablesMatchReference(isp, what);
   return out;
 }
 
@@ -134,6 +156,50 @@ TEST(IncrementalBicompTest, IsolatedEndpointsAndTinyGraphs) {
                               kNeverFallBack, "close triangle");
   EXPECT_EQ(tri.bcc.num_components, 1u);
   EXPECT_EQ(tri.bcc.is_cutpoint[1], 0);
+}
+
+// A hub with 300k leaf blocks plus a separate triangle. The block-cut-path
+// walk must expand the hub once, not once per leaf block it dequeues (that
+// is quadratic in the hub's block count: ~9·10¹⁰ reads and minutes at this
+// size). The bound counts the walk's reads, not time, so a slow or loaded
+// machine cannot fail it.
+TEST(IncrementalBicompTest, HubWithManyBlocksRepairsInLinearTime) {
+  const NodeId leaves = 300000;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId leaf = 1; leaf <= leaves; ++leaf) edges.push_back({0, leaf});
+  const NodeId a = leaves + 1, b = leaves + 2, c = leaves + 3;
+  edges.push_back({a, b});
+  edges.push_back({b, c});
+  edges.push_back({a, c});
+  const Graph g = MakeGraph(leaves + 4, edges);
+  const BiconnectedComponents bcc = ComputeBiconnectedComponents(g);
+  ASSERT_EQ(bcc.num_components, leaves + 1);
+
+  struct Step {
+    const char* what;
+    NodeId u, v;
+    uint32_t dirty_blocks;
+  };
+  // A cross-component insert from a leaf into the triangle (the walk
+  // exhausts the star's block-cut tree), then a leaf-to-leaf chord through
+  // the hub (two bridges merge into a triangle).
+  for (const Step& step : {Step{"leaf to triangle", 1, a, 0},
+                           Step{"leaf-to-leaf chord", 1, 2, 2}}) {
+    SCOPED_TRACE(step.what);
+    DeltaOverlay overlay(&g);
+    ASSERT_TRUE(overlay.Insert(step.u, step.v).ok());
+    const Graph next = overlay.Materialize();
+    IncrementalBicompStats stats;
+    const BiconnectedComponents repaired = RepairBiconnectedComponents(
+        g, bcc, next, {EdgeMutationKind::kInsert, step.u, step.v},
+        kNeverFallBack, &stats);
+    EXPECT_LE(stats.walk_reads, bcc.component_nodes.node_array().size() +
+                                    g.num_arcs() + g.degree(step.v));
+    EXPECT_FALSE(stats.fell_back);
+    EXPECT_EQ(stats.dirty_blocks, step.dirty_blocks);
+    ExpectBccBitwiseEqual(repaired, ComputeBiconnectedComponents(next),
+                          step.what);
+  }
 }
 
 TEST(IncrementalBicompTest, FallbackRouteIsBitwiseInvisible) {

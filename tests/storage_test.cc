@@ -39,6 +39,16 @@ TEST(ArrayRefTest, OwnedMoveKeepsData) {
   EXPECT_EQ(b[2], 9u);
 }
 
+TEST(ArrayRefTest, SharedCopiesReferenceOneArray) {
+  ArrayRef<uint32_t> a = ArrayRef<uint32_t>::Shared({10, 11, 12});
+  EXPECT_TRUE(a.is_view());
+  ArrayRef<uint32_t> b = a;
+  EXPECT_EQ(b.data(), a.data());  // no deep copy
+  a = ArrayRef<uint32_t>();
+  EXPECT_EQ(b.size(), 3u);  // the copy keeps the block alive
+  EXPECT_EQ(b[2], 12u);
+}
+
 TEST(ArrayRefTest, ViewModeReferencesForeignStorage) {
   auto backing = std::make_shared<std::vector<uint32_t>>(
       std::vector<uint32_t>{10, 11, 12});
